@@ -22,7 +22,6 @@ from .neural import (
     gradient_check_suite,
     init_weights,
     load_model,
-    mcp_fire,
     save_model,
     sigmoid,
     train,
@@ -69,7 +68,6 @@ __all__ = [
     "judgments_to_examples",
     "load_index",
     "load_model",
-    "mcp_fire",
     "parse_corpus_file",
     "parse_judgments_file",
     "render",

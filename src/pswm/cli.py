@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import corpus, neural, ranker, scoring, training
@@ -46,8 +47,8 @@ def _probability(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 

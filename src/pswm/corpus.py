@@ -8,11 +8,11 @@ Corpus files are UTF-8 with one JSON record per line:
 
 `id` and `body` are required; `url`, `title`, and `meta` are optional.
 
-Index files are UTF-8 text. Line 1 is the magic ``PSWM-INDEX v1``. Line 2
-is ``{"doc_count": N}`` followed by N document records (one JSON object per
-line, ascending id). Next comes ``{"token_count": M}`` followed by M posting
-lines ``{"token": t, "postings": [[doc_id, tf], ...]}`` in ascending token
-order, each posting list ascending by doc id.
+Index files (format v2) are UTF-8 text. Line 1 is the magic
+``PSWM-INDEX v2``, line 2 is ``{"doc_count": N}`` (so truncation shows),
+then exactly N document records, one per line, in strictly ascending id
+order. Postings are not stored; loading rebuilds them from the bodies. An
+older ``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .fileio import read_lines, write_text_atomic
 from .query import tokenize
 
-INDEX_MAGIC = "PSWM-INDEX v1"
+INDEX_MAGIC = "PSWM-INDEX v2"
+_INDEX_MAGIC_V1 = "PSWM-INDEX v1"
 
 
 @dataclass
@@ -78,13 +80,18 @@ class Document:
 class InvertedIndex:
     """Immutable-by-convention token index over a document set.
 
-    `postings` maps each body token to an ascending-by-doc-id list of
-    (doc_id, term_frequency) pairs; `docs` maps ids to documents.
+    `docs` maps ids to documents; `postings` maps each body token to the
+    ascending list of ids of the documents whose body contains it. Only
+    `docs` is saved (index format v2); `postings` is always derived from
+    the bodies, so the two cannot disagree.
     """
 
-    postings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
+    postings: dict[str, list[str]] = field(default_factory=dict)
     docs: dict[str, Document] = field(default_factory=dict)
-    doc_count: int = 0
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.docs)
 
 
 def _parse_record(obj, line_no: int) -> Document:
@@ -116,33 +123,40 @@ def _parse_record(obj, line_no: int) -> Document:
     return Document(id=doc_id, url=url, title=title, body=body, meta=meta)
 
 
+def _json_line(line: str, line_no: int):
+    """Decode one JSON record line; DataError naming the line if it is malformed or nested too deeply."""
+    try:
+        return json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+
+
 def parse_corpus_file(path) -> list[Document]:
     """Read a line-delimited corpus file into documents, in file order.
 
     Blank lines are skipped. Raises DataError on unreadable files, malformed
     lines (naming the line number), or duplicate ids (naming the id).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc}") from exc
-
     docs: list[Document] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path, "corpus"), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-        doc = _parse_record(obj, line_no)
+        doc = _parse_record(_json_line(line, line_no), line_no)
         if doc.id in seen:
             raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
         seen.add(doc.id)
         docs.append(doc)
     return docs
+
+
+def _postings(docs: dict[str, Document]) -> dict[str, list[str]]:
+    """Token -> ids of the documents containing it; `docs` must iterate in ascending id order."""
+    postings: dict[str, list[str]] = {}
+    for doc_id, doc in docs.items():
+        for token in set(tokenize(doc.body)):
+            postings.setdefault(token, []).append(doc_id)
+    return postings
 
 
 def build_index(docs: list[Document]) -> InvertedIndex:
@@ -151,20 +165,12 @@ def build_index(docs: list[Document]) -> InvertedIndex:
     Deterministic regardless of input order: posting lists are sorted by
     doc id. Raises ValueError on duplicate ids.
     """
-    postings: dict[str, list[tuple[str, int]]] = {}
     doc_map: dict[str, Document] = {}
-    for doc in docs:
+    for doc in sorted(docs, key=lambda d: d.id):
         if doc.id in doc_map:
             raise ValueError(f"duplicate document id {doc.id!r}")
         doc_map[doc.id] = doc
-        counts: dict[str, int] = {}
-        for token in tokenize(doc.body):
-            counts[token] = counts.get(token, 0) + 1
-        for token, tf in counts.items():
-            postings.setdefault(token, []).append((doc.id, tf))
-    for entries in postings.values():
-        entries.sort(key=lambda pair: pair[0])
-    return InvertedIndex(postings=postings, docs=doc_map, doc_count=len(doc_map))
+    return InvertedIndex(postings=_postings(doc_map), docs=doc_map)
 
 
 def _doc_to_json(doc: Document) -> str:
@@ -182,91 +188,44 @@ def _doc_to_json(doc: Document) -> str:
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write `index` to `path` in the versioned text format (see module doc)."""
+    """Write `index` to `path` in index format v2 (see module doc), replacing the file atomically."""
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
     for doc_id in sorted(index.docs):
         lines.append(_doc_to_json(index.docs[doc_id]))
-    lines.append(json.dumps({"token_count": len(index.postings)}))
-    for token in sorted(index.postings):
-        entry = {"token": token, "postings": [[d, tf] for d, tf in index.postings[token]]}
-        lines.append(json.dumps(entry, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _load_json_line(lines: list[str], pos: int, what: str):
-    if pos >= len(lines):
-        raise DataError(f"truncated index file: expected {what} at line {pos + 1}")
-    try:
-        return json.loads(lines[pos])
-    except json.JSONDecodeError as exc:
-        raise DataError(f"line {pos + 1}: invalid {what}: {exc}") from exc
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by `save_index`.
+    """Read an index written by `save_index` and rebuild its postings.
 
-    Raises DataError on a bad magic line, truncation, or any structural
-    inconsistency; never returns a partially loaded index.
+    Raises DataError on a bad magic line, a bad doc_count, fewer or more
+    records than it announces, ids not strictly ascending, or a malformed
+    record; never returns a partially loaded index.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read index file {path}: {exc}") from exc
+    lines = read_lines(path, "index")
+    if lines and lines[0] == _INDEX_MAGIC_V1:
+        raise DataError(f"{path} is a {_INDEX_MAGIC_V1} file; re-ingest the corpus to write {INDEX_MAGIC}")
     if not lines or lines[0] != INDEX_MAGIC:
         raise DataError(f"not a {INDEX_MAGIC} file: {path}")
+    if len(lines) < 2:
+        raise DataError("truncated index file: expected doc count header at line 2")
 
-    header = _load_json_line(lines, 1, "doc count header")
+    header = _json_line(lines[1], 2)
     doc_count = header.get("doc_count") if isinstance(header, dict) else None
-    if not isinstance(doc_count, int) or doc_count < 0:
-        raise DataError("line 2: invalid doc_count")
+    if type(doc_count) is not int or doc_count < 0:
+        raise DataError(f"line 2: invalid doc_count {doc_count!r}")
+    records = lines[2:]
+    if len(records) < doc_count:
+        raise DataError(f"truncated index file: expected {doc_count} document records, found {len(records)}")
+    if any(line.strip() for line in records[doc_count:]):
+        raise DataError(f"trailing content after line {doc_count + 2}: more than {doc_count} document records")
 
     docs: dict[str, Document] = {}
-    pos = 2
-    for _ in range(doc_count):
-        obj = _load_json_line(lines, pos, "document record")
-        doc = _parse_record(obj, pos + 1)
-        if doc.id in docs:
-            raise DataError(f"line {pos + 1}: duplicate document id {doc.id!r}")
+    last_id = None
+    for line_no, line in enumerate(records[:doc_count], start=3):
+        doc = _parse_record(_json_line(line, line_no), line_no)
+        if last_id is not None and doc.id <= last_id:
+            raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
         docs[doc.id] = doc
-        pos += 1
-
-    header = _load_json_line(lines, pos, "token count header")
-    token_count = header.get("token_count") if isinstance(header, dict) else None
-    if not isinstance(token_count, int) or token_count < 0:
-        raise DataError(f"line {pos + 1}: invalid token_count")
-    pos += 1
-
-    postings: dict[str, list[tuple[str, int]]] = {}
-    for _ in range(token_count):
-        obj = _load_json_line(lines, pos, "posting record")
-        line_no = pos + 1
-        token = obj.get("token") if isinstance(obj, dict) else None
-        raw = obj.get("postings") if isinstance(obj, dict) else None
-        if not isinstance(token, str) or not token or not isinstance(raw, list):
-            raise DataError(f"line {line_no}: malformed posting record")
-        if token in postings:
-            raise DataError(f"line {line_no}: duplicate token {token!r}")
-        entries: list[tuple[str, int]] = []
-        for pair in raw:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not isinstance(pair[0], str)
-                or not isinstance(pair[1], int)
-                or pair[1] < 1
-            ):
-                raise DataError(f"line {line_no}: malformed posting entry for {token!r}")
-            if pair[0] not in docs:
-                raise DataError(f"line {line_no}: posting references unknown doc {pair[0]!r}")
-            entries.append((pair[0], pair[1]))
-        ids = [d for d, _ in entries]
-        if ids != sorted(set(ids)):
-            raise DataError(f"line {line_no}: posting list for {token!r} not sorted/unique")
-        postings[token] = entries
-        pos += 1
-
-    if any(line.strip() for line in lines[pos:]):
-        raise DataError(f"line {pos + 1}: trailing content after index data")
-    return InvertedIndex(postings=postings, docs=docs, doc_count=doc_count)
+        last_id = doc.id
+    return InvertedIndex(postings=_postings(docs), docs=docs)

@@ -1,0 +1,43 @@
+"""Reading and crash-safe writing of pswm's UTF-8 text files."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import secrets
+
+from .errors import DataError
+
+
+def read_lines(path, kind: str) -> list[str]:
+    """The lines of UTF-8 text file `path`.
+
+    Raises DataError naming the `kind` of file when it cannot be read or
+    decoded.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Replace `path` with a file holding `text`, all or nothing.
+
+    The text goes to a fresh temporary file in the target's directory, is
+    flushed to disk, and is then renamed onto `path`. If any step fails the
+    temporary file is removed and a previous file at `path` is untouched.
+    """
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .fileio import read_lines, write_text_atomic
 
 MODEL_MAGIC = "PSWM-MODEL v1"
 
@@ -41,15 +42,6 @@ GRADIENT_TOLERANCE = 1e-5
 def sigmoid(x):
     """Logistic squashing function 1 / (1 + e^-x)."""
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def mcp_fire(inputs, weights, threshold: float) -> bool:
-    """Threshold unit: fire iff the weighted input sum strictly exceeds `threshold`."""
-    x = np.asarray(inputs, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.shape != w.shape or x.ndim != 1:
-        raise ValueError(f"inputs and weights must be equal-length vectors, got {x.shape} and {w.shape}")
-    return bool(float(x @ w) > threshold)
 
 
 class Network:
@@ -187,6 +179,8 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     whole run is deterministic given (seed, data order, initial weights).
     Returns the trained network and one mean-error entry per epoch, the
     error being measured on each example's pre-update forward pass.
+    Raises ValueError if a weight is not finite after an epoch. Sigmoid
+    overflow is not reported: it saturates to the correct limit.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
@@ -194,16 +188,19 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
         raise ValueError("cannot train on an empty example list")
     rng = np.random.default_rng(seed)
     trace: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(data))
-        total = 0.0
-        for i in order:
-            example = data[i]
-            activations = forward(net, example.features)
-            total += error(activations[-1], example.desired)
-            grads = backprop(net, activations, example.desired)
-            apply_gradients(net, grads, learning_rate)
-        trace.append(total / len(data))
+    with np.errstate(over="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(data))
+            total = 0.0
+            for i in order:
+                example = data[i]
+                activations = forward(net, example.features)
+                total += error(activations[-1], example.desired)
+                grads = backprop(net, activations, example.desired)
+                apply_gradients(net, grads, learning_rate)
+            if not all(np.all(np.isfinite(w)) for w in net.weights):
+                raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
+            trace.append(total / len(data))
     return net, trace
 
 
@@ -222,13 +219,12 @@ def init_weights(layer_sizes, seed: int) -> Network:
 
 
 def save_model(net: Network, path) -> None:
-    """Write `net` to `path` in the versioned text format (see module doc)."""
+    """Write `net` to `path` in the versioned text format (see module doc), replacing the file atomically."""
     lines = [MODEL_MAGIC, " ".join(str(s) for s in net.layer_sizes)]
     for w in net.weights:
         for row in w:
             lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_model(path) -> Network:
@@ -237,11 +233,7 @@ def load_model(path) -> Network:
     Raises DataError on a bad magic line, malformed sizes, a row count or
     row width that disagrees with the sizes, or unparseable weights.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
+    lines = read_lines(path, "model")
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"not a {MODEL_MAGIC} file: {path}")
     if len(lines) < 2:

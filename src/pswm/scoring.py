@@ -32,8 +32,7 @@ def syntactic_candidates(tree: QuerySyntaxTree, index: InvertedIndex) -> set[str
     """Ids of documents whose body contains at least one query token."""
     found: set[str] = set()
     for token in set(tree.leaves):
-        for doc_id, _tf in index.postings.get(token, []):
-            found.add(doc_id)
+        found.update(index.postings.get(token, ()))
     return found
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import InvertedIndex
 from .errors import DataError
+from .fileio import read_lines
 from .neural import Network, TrainingExample, error, forward
 from .query import build_syntax_tree
 from .scoring import semantic_score, syntactic_score
@@ -32,13 +33,8 @@ class Judgment:
 
 def parse_judgments_file(path) -> list[Judgment]:
     """Read a judgments file; DataError on malformed lines or labels."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read judgments file {path}: {exc}") from exc
     judgments: list[Judgment] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(read_lines(path, "judgments"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

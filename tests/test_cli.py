@@ -1,6 +1,7 @@
 """Command-line behavior: pipelines, output, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -53,6 +54,14 @@ class TestIngest:
         code = cli.main(["ingest", "--corpus", str(bad), "--index", str(tmp_path / "idx")])
         assert code == cli.EXIT_DATA
         assert "line 1" in capsys.readouterr().err
+
+    def test_deeply_nested_corpus_line_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text('{"id": "a", "body": "x"}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--corpus", str(bad), "--index", str(tmp_path / "idx")])
+        assert code == cli.EXIT_DATA
+        assert "line 2: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
 
     def test_duplicate_id_corpus_names_offender(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
@@ -131,6 +140,29 @@ class TestTrain:
         ])
         assert code == cli.EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("lr", ["inf", "nan"])
+    def test_non_finite_lr_is_usage_error(self, tmp_path, ingested, capsys, lr):
+        model_path = tmp_path / "m"
+        code = cli.main([
+            "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+            "--model", str(model_path), "--lr", lr,
+        ])
+        assert code == cli.EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_huge_lr_trains_quietly_to_a_usable_model(self, tmp_path, ingested, capsys):
+        model_path = tmp_path / "m"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([
+                "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+                "--model", str(model_path), "--lr", "1e300", "--epochs", "20",
+            ])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert load_model(model_path).layer_sizes == [2, cli.DEFAULT_HIDDEN, 1]
 
     def test_unknown_doc_in_judgments_is_data_error(self, tmp_path, ingested, capsys):
         bad = tmp_path / "bad.tsv"

@@ -149,14 +149,14 @@ class TestBuildIndex:
         ]
         index = build_index(docs)
         assert index.doc_count == 2
-        assert index.postings["web"] == [("a", 2), ("b", 1)]
-        assert index.postings["mining"] == [("a", 1), ("b", 1)]
-        assert index.postings["the"] == [("b", 1)]
+        assert index.postings["web"] == ["a", "b"]
+        assert index.postings["mining"] == ["a", "b"]
+        assert index.postings["the"] == ["b"]
 
     def test_posting_lists_sorted_regardless_of_input_order(self):
         docs = [Document(id="z", body="tok"), Document(id="a", body="tok"), Document(id="m", body="tok")]
         index = build_index(docs)
-        assert index.postings["tok"] == [("a", 1), ("m", 1), ("z", 1)]
+        assert index.postings["tok"] == ["a", "m", "z"]
 
     def test_duplicate_ids_rejected(self):
         docs = [Document(id="a", body="x"), Document(id="a", body="y")]
@@ -206,8 +206,15 @@ class TestIndexPersistence:
 
     def test_bad_doc_count(self, tmp_path):
         path = tmp_path / "idx"
-        path.write_text(f'{INDEX_MAGIC}\n{{"doc_count": -1}}\n', encoding="utf-8")
-        with pytest.raises(DataError, match="doc_count"):
+        for bad in ("-1", "true", "false", "1.0", '"1"', "null"):
+            path.write_text(f'{INDEX_MAGIC}\n{{"doc_count": {bad}}}\n', encoding="utf-8")
+            with pytest.raises(DataError, match="doc_count"):
+                load_index(path)
+
+    def test_v1_index_asks_for_reingest(self, tmp_path):
+        path = tmp_path / "idx"
+        path.write_text('PSWM-INDEX v1\n{"doc_count": 0}\n{"token_count": 0}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="re-ingest"):
             load_index(path)
 
     def test_truncated_documents(self, tmp_path):
@@ -216,33 +223,52 @@ class TestIndexPersistence:
         with pytest.raises(DataError, match="truncated"):
             load_index(path)
 
-    def test_posting_references_unknown_doc(self, tmp_path):
-        docs = [Document(id="a", body="tok")]
+    @staticmethod
+    def saved_lines(tmp_path, *ids):
         path = tmp_path / "idx"
-        save_index(build_index(docs), path)
-        text = path.read_text(encoding="utf-8").replace('[["a",1]]', '[["ghost",1]]')
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match="unknown doc"):
+        save_index(build_index([Document(id=i, body=f"tok {i}") for i in ids]), path)
+        return path, path.read_text(encoding="utf-8").splitlines()
+
+    @staticmethod
+    def write_lines(path, lines):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_unsorted_records_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:2], lines[3], lines[2]])
+        with pytest.raises(DataError, match="line 4.*ascend"):
             load_index(path)
 
-    def test_unsorted_posting_list(self, tmp_path):
-        docs = [Document(id="a", body="tok"), Document(id="b", body="tok")]
-        path = tmp_path / "idx"
-        save_index(build_index(docs), path)
-        text = path.read_text(encoding="utf-8")
-        text = text.replace('[["a",1],["b",1]]', '[["b",1],["a",1]]')
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match="not sorted"):
+    def test_duplicate_records_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:3], lines[2]])
+        with pytest.raises(DataError, match="line 4.*'a'"):
             load_index(path)
 
-    def test_zero_term_frequency_rejected(self, tmp_path):
-        docs = [Document(id="a", body="tok")]
-        path = tmp_path / "idx"
-        save_index(build_index(docs), path)
-        text = path.read_text(encoding="utf-8").replace('[["a",1]]', '[["a",0]]')
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match="malformed posting entry"):
+    def test_more_records_than_doc_count_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [lines[0], '{"doc_count": 1}', *lines[2:]])
+        with pytest.raises(DataError, match="trailing content.*more than 1 document records"):
             load_index(path)
+
+    def test_malformed_record_names_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:3], lines[3].replace('"body"', '"bodies"')])
+        with pytest.raises(DataError, match="line 4.*body"):
+            load_index(path)
+
+    def test_deeply_nested_record_is_data_error(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a")
+        self.write_lines(path, [*lines[:2], "[" * 100_000 + "]" * 100_000])
+        with pytest.raises(DataError, match="line 3: invalid JSON"):
+            load_index(path)
+
+    def test_postings_rebuilt_from_loaded_bodies(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:3], lines[3].replace("tok b", "fresh b")])
+        loaded = load_index(path)
+        assert loaded.postings == {"tok": ["a"], "a": ["a"], "fresh": ["b"], "b": ["b"]}
+        assert loaded == build_index(list(loaded.docs.values()))
 
     def test_trailing_content_rejected(self, fixture_index, tmp_path):
         path = tmp_path / "idx"

@@ -1,6 +1,7 @@
 """Network mechanics: forward pass, derivatives, training, persistence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from pswm import (
     gradient_check_suite,
     init_weights,
     load_model,
-    mcp_fire,
     save_model,
     sigmoid,
     train,
@@ -49,32 +49,6 @@ class TestSigmoid:
         xs = np.linspace(-6, 6, 200)
         ys = sigmoid(xs)
         assert np.all(np.diff(ys) > 0)
-
-
-class TestMcpFire:
-    def test_zero_input_never_fires_positive_threshold(self):
-        assert mcp_fire([0.0, 0.0, 0.0], [5.0, -2.0, 0.1], 0.5) is False
-
-    def test_fires_above_threshold(self):
-        assert mcp_fire([1.0, 1.0, 0.0], [0.7, 0.6, 0.5], 1.0) is True
-
-    def test_silent_below_threshold(self):
-        assert mcp_fire([0.0, 1.0], [0.3, 0.4], 1.0) is False
-
-    def test_exact_threshold_does_not_fire(self):
-        # strict inequality: a sum equal to the threshold stays silent
-        assert mcp_fire([1.0, 1.0], [0.5, 0.5], 1.0) is False
-
-    def test_negative_weights(self):
-        assert mcp_fire([1.0, 1.0], [2.0, -0.5], 1.0) is True
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            mcp_fire([1.0, 2.0], [0.5], 0.0)
-
-    def test_matrix_input_rejected(self):
-        with pytest.raises(ValueError):
-            mcp_fire([[1.0, 2.0]], [[0.5, 0.5]], 0.0)
 
 
 class TestNetwork:
@@ -370,6 +344,20 @@ class TestTrain:
         net = init_weights([2, 1], 0)
         _, trace = train(net, [], epochs=0, learning_rate=0.5, seed=0)
         assert trace == []
+
+    def test_non_finite_weights_raise_instead_of_being_returned(self):
+        for lr in (math.inf, math.nan):
+            net = init_weights([2, 4, 1], 0)
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite weights after epoch 1"):
+                train(net, AND_DATA, epochs=5, learning_rate=lr, seed=0)
+
+    def test_sigmoid_overflow_saturates_without_warnings(self):
+        net = init_weights([2, 4, 1], 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            net, trace = train(net, AND_DATA, epochs=5, learning_rate=1e300, seed=0)
+        assert all(np.all(np.isfinite(w)) for w in net.weights)
+        assert len(trace) == 5
 
 
 class TestInitWeights:
