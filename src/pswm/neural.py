@@ -17,6 +17,15 @@ Thresholds are realized as bias units: every non-output layer carries one
 extra unit with constant activity 1.0, so each weight matrix has one more
 source row (the bias row, stored last) than the layer has units.
 
+Training checks its whole example list once, then runs an unchecked kernel
+(`_step`) over preallocated buffers: one augmented buffer per non-output
+layer, its last entry the bias unit fixed at 1.0. The public `forward`,
+`error`, `backprop` and `apply_gradients` validate their arguments and then
+call the same private functions the kernel calls, so each arithmetic step
+is written once and training gives the same bits either way. Each product
+stays a vector times a matrix, one example at a time: summing in another
+order (batching examples, say) would change the trained weights' last bits.
+
 Model files are UTF-8 text. Line 1 is the magic ``PSWM-MODEL v1``, line 2
 the space-separated layer sizes, then one line per weight-matrix row
 (matrices in layer order, source rows ascending, bias row last). Floats are
@@ -100,6 +109,59 @@ class Gradients:
     ei: list[np.ndarray]
 
 
+def _augmented(layer_sizes) -> list[np.ndarray]:
+    """One buffer per non-output layer: its activities, then the bias unit fixed at 1.0."""
+    buffers = [np.empty(n + 1) for n in layer_sizes[:-1]]
+    for buf in buffers:
+        buf[-1] = 1.0
+    return buffers
+
+
+def _forward(weights, aug) -> np.ndarray:
+    """Forward pass from the inputs in ``aug[0]``: fills every hidden buffer, returns the output activities."""
+    for w, src, dst in zip(weights, aug, aug[1:]):
+        dst[:-1] = sigmoid(src @ w)
+    return sigmoid(aug[-1] @ weights[-1])
+
+
+def _half_square(diff) -> float:
+    """The error of an output whose difference from the desired vector is `diff`."""
+    return 0.5 * float((diff ** 2).sum())
+
+
+def _backward(weights, aug, output, ea_out) -> Gradients:
+    """Backward pass over a forward pass held in ``aug`` and ``output``, ``ea_out`` being output minus desired."""
+    n = len(weights)
+    ea = [ea_out] * (n + 1)
+    ei = [ea_out] * n
+    ew = [ea_out] * n
+    y = output
+    for k in range(n - 1, -1, -1):
+        ei[k] = ea[k + 1] * y * (1.0 - y)
+        ew[k] = aug[k][:, None] * ei[k]  # np.outer's products, without its per-call overhead
+        ea[k] = weights[k][:-1] @ ei[k]
+        y = aug[k][:-1]
+    return Gradients(ew=ew, ea=ea, ei=ei)
+
+
+def _descend(weights, ew, learning_rate) -> None:
+    """Move every weight, in place, against its derivative."""
+    for w, g in zip(weights, ew):
+        w -= learning_rate * g
+
+
+def _step(weights, aug, desired, learning_rate) -> float:
+    """One unchecked online step on the inputs in ``aug[0]``; returns the example's pre-update error.
+
+    Every derivative comes from the pre-update weights, as in `backprop`
+    followed by `apply_gradients`.
+    """
+    output = _forward(weights, aug)
+    ea_out = output - desired
+    _descend(weights, _backward(weights, aug, output, ea_out).ew, learning_rate)
+    return _half_square(ea_out)
+
+
 def forward(net: Network, features) -> list[np.ndarray]:
     """Run the forward pass; returns the activity vector of every layer.
 
@@ -110,11 +172,10 @@ def forward(net: Network, features) -> list[np.ndarray]:
     y = np.asarray(features, dtype=float)
     if y.shape != (net.layer_sizes[0],):
         raise ValueError(f"input length {y.shape} does not match input layer size {net.layer_sizes[0]}")
-    activations = [y]
-    for w in net.weights:
-        augmented = np.append(activations[-1], 1.0)
-        activations.append(sigmoid(augmented @ w))
-    return activations
+    aug = _augmented(net.layer_sizes)
+    aug[0][:-1] = y
+    output = _forward(net.weights, aug)
+    return [y] + [buf[:-1] for buf in aug[1:]] + [output]
 
 
 def error(output, desired) -> float:
@@ -123,7 +184,7 @@ def error(output, desired) -> float:
     d = np.asarray(desired, dtype=float)
     if y.shape != d.shape:
         raise ValueError(f"output shape {y.shape} does not match desired shape {d.shape}")
-    return 0.5 * float(np.sum((y - d) ** 2))
+    return _half_square(y - d)
 
 
 def backprop(net: Network, activations, desired) -> Gradients:
@@ -143,19 +204,8 @@ def backprop(net: Network, activations, desired) -> Gradients:
     d = np.asarray(desired, dtype=float)
     if d.shape != acts[-1].shape:
         raise ValueError(f"desired shape {d.shape} does not match output shape {acts[-1].shape}")
-
-    ea: list[np.ndarray] = [np.zeros(0)] * n_layers
-    ei: list[np.ndarray] = [np.zeros(0)] * (n_layers - 1)
-    ew: list[np.ndarray] = [np.zeros(0)] * len(net.weights)
-
-    ea[-1] = acts[-1] - d
-    for k in range(n_layers - 1, 0, -1):
-        y = acts[k]
-        ei[k - 1] = ea[k] * y * (1.0 - y)
-        augmented = np.append(acts[k - 1], 1.0)
-        ew[k - 1] = np.outer(augmented, ei[k - 1])
-        ea[k - 1] = net.weights[k - 1][:-1, :] @ ei[k - 1]
-    return Gradients(ew=ew, ea=ea, ei=ei)
+    aug = [np.append(a, 1.0) for a in acts[:-1]]
+    return _backward(net.weights, aug, acts[-1], acts[-1] - d)
 
 
 def apply_gradients(net: Network, grads: Gradients, learning_rate: float) -> Network:
@@ -167,8 +217,28 @@ def apply_gradients(net: Network, grads: Gradients, learning_rate: float) -> Net
     for w, g in zip(net.weights, grads.ew):
         if w.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match weight shape {w.shape}")
-        w -= learning_rate * g
+    _descend(net.weights, grads.ew, learning_rate)
     return net
+
+
+def _example_arrays(net: Network, data: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
+    """Check every example against the network once; returns (n, inputs) features and (n, outputs) targets."""
+    n_in, n_out = net.layer_sizes[0], net.layer_sizes[-1]
+    features = np.empty((len(data), n_in))
+    desired = np.empty((len(data), n_out))
+    for i, example in enumerate(data):
+        for name, values, out in (("features", example.features, features),
+                                  ("desired", example.desired, desired)):
+            try:
+                v = np.asarray(values, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"example {i}: {name} are not numbers") from exc
+            if v.shape != out.shape[1:]:
+                raise ValueError(f"example {i}: {name} have shape {v.shape}, expected ({out.shape[1]},)")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"example {i}: {name} contain non-finite values")
+            out[i] = v
+    return features, desired
 
 
 def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate: float,
@@ -179,13 +249,22 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     whole run is deterministic given (seed, data order, initial weights).
     Returns the trained network and one mean-error entry per epoch, the
     error being measured on each example's pre-update forward pass.
-    Raises ValueError if a weight is not finite after an epoch. Sigmoid
-    overflow is not reported: it saturates to the correct limit.
+    Every example is checked before any weight changes: ValueError names
+    the first one whose lengths do not fit the network or whose values
+    are not finite. Raises ValueError if a weight is not finite after an
+    epoch. Sigmoid overflow is not reported: it saturates to the correct
+    limit.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not data and epochs > 0:
         raise ValueError("cannot train on an empty example list")
+    if learning_rate <= 0.0:
+        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    features, desired = _example_arrays(net, data)
+    weights = net.weights
+    aug = _augmented(net.layer_sizes)
+    inputs = aug[0][:-1]
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     with np.errstate(over="ignore"):
@@ -193,12 +272,9 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
             order = rng.permutation(len(data))
             total = 0.0
             for i in order:
-                example = data[i]
-                activations = forward(net, example.features)
-                total += error(activations[-1], example.desired)
-                grads = backprop(net, activations, example.desired)
-                apply_gradients(net, grads, learning_rate)
-            if not all(np.all(np.isfinite(w)) for w in net.weights):
+                inputs[:] = features[i]
+                total += _step(weights, aug, desired[i], learning_rate)
+            if not all(np.all(np.isfinite(w)) for w in weights):
                 raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
             trace.append(total / len(data))
     return net, trace

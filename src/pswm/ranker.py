@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .neural import Network, forward
 from .scoring import CandidateFeatures
 
@@ -37,21 +39,23 @@ def attach_probabilities(candidates: list[CandidateFeatures], net: Network) -> l
     """Label every candidate with the network's output for its feature pair.
 
     Order-preserving and pointwise. Raises ValueError unless the network
-    maps two inputs to one output.
+    maps two inputs to one output. Sigmoid overflow is not reported.
     """
     if net.layer_sizes[0] != 2 or net.layer_sizes[-1] != 1:
         raise ValueError(f"ranking network must map 2 features to 1 output, got {net.layer_sizes}")
     ranked: list[RankedResult] = []
-    for cand in candidates:
-        probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
-        ranked.append(
-            RankedResult(
-                doc_id=cand.doc_id,
-                syntactic=cand.syntactic,
-                semantic=cand.semantic,
-                probability=probability,
+    # Huge finite weights overflow exp in the sigmoid, which saturates correctly.
+    with np.errstate(over="ignore"):
+        for cand in candidates:
+            probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
+            ranked.append(
+                RankedResult(
+                    doc_id=cand.doc_id,
+                    syntactic=cand.syntactic,
+                    semantic=cand.semantic,
+                    probability=probability,
+                )
             )
-        )
     return ranked
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import InvertedIndex
 from .errors import DataError
 from .fileio import read_lines
@@ -79,19 +81,21 @@ def evaluate(net: Network, judgments: list[Judgment], index: InvertedIndex) -> d
     """Mean error and thresholded accuracy of `net` on `judgments`.
 
     Returns ``{"count", "mean_error", "accuracy_at_0.5"}``. Raises
-    ValueError on an empty judgment list.
+    ValueError on an empty judgment list. Sigmoid overflow is not reported.
     """
     if not judgments:
         raise ValueError("cannot evaluate on an empty judgment list")
     examples = judgments_to_examples(judgments, index)
     total_error = 0.0
     correct = 0
-    for example in examples:
-        output = forward(net, example.features)[-1]
-        total_error += error(output, example.desired)
-        predicted_relevant = float(output[0]) >= ACCURACY_THRESHOLD
-        if predicted_relevant == (example.desired[0] >= ACCURACY_THRESHOLD):
-            correct += 1
+    # Huge finite weights overflow exp in the sigmoid, which saturates correctly.
+    with np.errstate(over="ignore"):
+        for example in examples:
+            output = forward(net, example.features)[-1]
+            total_error += error(output, example.desired)
+            predicted_relevant = float(output[0]) >= ACCURACY_THRESHOLD
+            if predicted_relevant == (example.desired[0] >= ACCURACY_THRESHOLD):
+                correct += 1
     return {
         "count": len(examples),
         "mean_error": total_error / len(examples),

@@ -153,6 +153,7 @@ class TestTrain:
         assert not model_path.exists()
 
     def test_huge_lr_trains_quietly_to_a_usable_model(self, tmp_path, ingested, capsys):
+        # The weights end near 1e297, so search and eval overflow exp in the sigmoid.
         model_path = tmp_path / "m"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -160,9 +161,17 @@ class TestTrain:
                 "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
                 "--model", str(model_path), "--lr", "1e300", "--epochs", "20",
             ])
-        assert code == cli.EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert load_model(model_path).layer_sizes == [2, cli.DEFAULT_HIDDEN, 1]
+            assert code == cli.EXIT_OK
+            assert capsys.readouterr().err == ""
+            assert load_model(model_path).layer_sizes == [2, cli.DEFAULT_HIDDEN, 1]
+            for argv in (
+                ["search", "semantic web", "--cutoff", "0", "--index", str(ingested), "--model", str(model_path)],
+                ["eval", "--index", str(ingested), "--model", str(model_path), "--judgments", str(JUDGMENTS_PATH)],
+            ):
+                assert cli.main(argv) == cli.EXIT_OK
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert captured.out
 
     def test_unknown_doc_in_judgments_is_data_error(self, tmp_path, ingested, capsys):
         bad = tmp_path / "bad.tsv"

@@ -360,6 +360,65 @@ class TestTrain:
         assert len(trace) == 5
 
 
+def _reference_train(net, data, epochs, learning_rate, seed):
+    """`train` written with the public, validated functions, one call each per step."""
+    rng = np.random.default_rng(seed)
+    trace = []
+    for _ in range(epochs):
+        total = 0.0
+        for i in rng.permutation(len(data)):
+            activations = forward(net, data[i].features)
+            total += error(activations[-1], data[i].desired)
+            apply_gradients(net, backprop(net, activations, data[i].desired), learning_rate)
+        trace.append(total / len(data))
+    return net, trace
+
+
+class TestTrainKernel:
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 1, 1], [2, 4, 1], [2, 9, 1], [3, 5, 2], [2, 3, 2, 1]])
+    def test_matches_public_functions_bitwise(self, sizes):
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            data = [
+                TrainingExample(list(rng.uniform(-1.0, 1.0, sizes[0])), list(rng.uniform(0.0, 1.0, sizes[-1])))
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            for epochs in (1, 4, 20):
+                expected, expected_trace = _reference_train(init_weights(sizes, seed), data, epochs, 0.7, seed)
+                got, trace = train(init_weights(sizes, seed), data, epochs, 0.7, seed)
+                assert trace == expected_trace
+                for w, e in zip(got.weights, expected.weights):
+                    assert np.array_equal(w, e)
+
+    @pytest.mark.parametrize("bad, match", [
+        (TrainingExample([0.5], [1.0]), r"example 5: features have shape \(1,\), expected \(2,\)"),
+        (TrainingExample([0.5, 0.5, 0.5], [1.0]), "example 5: features"),
+        (TrainingExample([0.5, 0.5], [1.0, 0.0]), r"example 5: desired have shape \(2,\), expected \(1,\)"),
+        (TrainingExample([0.5, 0.5], []), "example 5: desired"),
+        (TrainingExample([0.5, math.nan], [1.0]), "example 5: features contain non-finite"),
+        (TrainingExample([math.inf, 0.5], [1.0]), "example 5: features contain non-finite"),
+        (TrainingExample([0.5, 0.5], [-math.inf]), "example 5: desired contain non-finite"),
+        (TrainingExample([0.5, "x"], [1.0]), "example 5: features are not numbers"),
+    ])
+    def test_bad_late_example_raises_before_any_weight_changes(self, bad, match):
+        net = init_weights([2, 4, 1], 0)
+        before = [w.copy() for w in net.weights]
+        data = AND_DATA + [TrainingExample([0.5, 0.5], [1.0]), bad]
+        with pytest.raises(ValueError, match=match):
+            train(net, data, epochs=3, learning_rate=0.5, seed=0)
+        for w, b in zip(net.weights, before):
+            assert np.array_equal(w, b)
+
+    def test_non_positive_learning_rate_raises_before_any_weight_changes(self):
+        for lr in (0.0, -0.5):
+            net = init_weights([2, 4, 1], 0)
+            before = [w.copy() for w in net.weights]
+            with pytest.raises(ValueError, match="learning rate must be positive"):
+                train(net, AND_DATA, epochs=3, learning_rate=lr, seed=0)
+            for w, b in zip(net.weights, before):
+                assert np.array_equal(w, b)
+
+
 class TestInitWeights:
     def test_deterministic(self):
         assert init_weights([3, 4, 2], 21) == init_weights([3, 4, 2], 21)
