@@ -14,7 +14,6 @@ from .neural import (
     Gradients,
     Network,
     TrainingExample,
-    apply_gradients,
     backprop,
     error,
     forward,
@@ -53,7 +52,6 @@ __all__ = [
     "ResultPage",
     "TrainingExample",
     "analyze",
-    "apply_gradients",
     "attach_probabilities",
     "backprop",
     "build_index",

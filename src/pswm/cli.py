@@ -178,13 +178,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size flag, e.g. --hidden, too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,14 +11,15 @@ Corpus files are UTF-8 with one JSON record per line:
 Index files (format v2) are UTF-8 text. Line 1 is the magic
 ``PSWM-INDEX v2``, line 2 is ``{"doc_count": N}`` (so truncation shows),
 then exactly N document records, one per line, in strictly ascending id
-order. Postings are not stored; loading rebuilds them from the bodies. An
-older ``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
+order. Postings are not stored: an index derives them from the bodies on
+first read. An older ``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError
 from .fileio import read_lines, write_text_atomic
@@ -80,18 +81,26 @@ class Document:
 class InvertedIndex:
     """Immutable-by-convention token index over a document set.
 
-    `docs` maps ids to documents; `postings` maps each body token to the
-    ascending list of ids of the documents whose body contains it. Only
-    `docs` is saved (index format v2); `postings` is always derived from
-    the bodies, so the two cannot disagree.
+    `docs` maps ids to documents and is the index's only field. `postings`
+    maps each body token to the ascending list of ids of the documents
+    whose body contains it. It is derived from `docs` on first read and
+    then cached, so it cannot disagree with `docs` unless `docs` is changed
+    after that read. Only `docs` is saved (index format v2).
     """
 
-    postings: dict[str, list[str]] = field(default_factory=dict)
     docs: dict[str, Document] = field(default_factory=dict)
 
     @property
     def doc_count(self) -> int:
         return len(self.docs)
+
+    @cached_property
+    def postings(self) -> dict[str, list[str]]:
+        postings: dict[str, list[str]] = {}
+        for doc_id in sorted(self.docs):
+            for token in set(tokenize(self.docs[doc_id].body)):
+                postings.setdefault(token, []).append(doc_id)
+        return postings
 
 
 def _parse_record(obj, line_no: int) -> Document:
@@ -150,15 +159,6 @@ def parse_corpus_file(path) -> list[Document]:
     return docs
 
 
-def _postings(docs: dict[str, Document]) -> dict[str, list[str]]:
-    """Token -> ids of the documents containing it; `docs` must iterate in ascending id order."""
-    postings: dict[str, list[str]] = {}
-    for doc_id, doc in docs.items():
-        for token in set(tokenize(doc.body)):
-            postings.setdefault(token, []).append(doc_id)
-    return postings
-
-
 def build_index(docs: list[Document]) -> InvertedIndex:
     """Build the inverted index over `docs`.
 
@@ -166,11 +166,11 @@ def build_index(docs: list[Document]) -> InvertedIndex:
     doc id. Raises ValueError on duplicate ids.
     """
     doc_map: dict[str, Document] = {}
-    for doc in sorted(docs, key=lambda d: d.id):
+    for doc in docs:
         if doc.id in doc_map:
             raise ValueError(f"duplicate document id {doc.id!r}")
         doc_map[doc.id] = doc
-    return InvertedIndex(postings=_postings(doc_map), docs=doc_map)
+    return InvertedIndex(docs=doc_map)
 
 
 def _doc_to_json(doc: Document) -> str:
@@ -196,7 +196,7 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by `save_index` and rebuild its postings.
+    """Read an index written by `save_index`; its postings are derived on first read.
 
     Raises DataError on a bad magic line, a bad doc_count, fewer or more
     records than it announces, ids not strictly ascending, or a malformed
@@ -228,4 +228,4 @@ def load_index(path) -> InvertedIndex:
             raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
         docs[doc.id] = doc
         last_id = doc.id
-    return InvertedIndex(postings=_postings(docs), docs=docs)
+    return InvertedIndex(docs=docs)

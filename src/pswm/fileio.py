@@ -12,14 +12,20 @@ from .errors import DataError
 def read_lines(path, kind: str) -> list[str]:
     """The lines of UTF-8 text file `path`.
 
-    Raises DataError naming the `kind` of file when it cannot be read or
-    decoded.
+    Only a newline ends a line (text mode reads CR LF and a lone CR as one),
+    so U+0085, U+2028 and U+2029, which JSON writes unescaped, stay inside
+    their line; `str.splitlines` would split on them. A final newline ends
+    the last line rather than starting an empty one. Raises DataError
+    naming the `kind` of file when it cannot be read or decoded.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind} file {path}: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def write_text_atomic(path, text: str) -> None:

@@ -20,9 +20,9 @@ source row (the bias row, stored last) than the layer has units.
 Training checks its whole example list once, then runs an unchecked kernel
 (`_step`) over preallocated buffers: one augmented buffer per non-output
 layer, its last entry the bias unit fixed at 1.0. The public `forward`,
-`error`, `backprop` and `apply_gradients` validate their arguments and then
-call the same private functions the kernel calls, so each arithmetic step
-is written once and training gives the same bits either way. Each product
+`error` and `backprop` validate their arguments and then call the same
+private functions the kernel calls, so each arithmetic step is written
+once and training gives the same bits either way. Each product
 stays a vector times a matrix, one example at a time: summing in another
 order (batching examples, say) would change the trained weights' last bits.
 
@@ -154,7 +154,7 @@ def _step(weights, aug, desired, learning_rate) -> float:
     """One unchecked online step on the inputs in ``aug[0]``; returns the example's pre-update error.
 
     Every derivative comes from the pre-update weights, as in `backprop`
-    followed by `apply_gradients`.
+    followed by one descent step.
     """
     output = _forward(weights, aug)
     ea_out = output - desired
@@ -206,19 +206,6 @@ def backprop(net: Network, activations, desired) -> Gradients:
         raise ValueError(f"desired shape {d.shape} does not match output shape {acts[-1].shape}")
     aug = [np.append(a, 1.0) for a in acts[:-1]]
     return _backward(net.weights, aug, acts[-1], acts[-1] - d)
-
-
-def apply_gradients(net: Network, grads: Gradients, learning_rate: float) -> Network:
-    """Plain gradient descent step: every weight moves against its derivative."""
-    if learning_rate <= 0.0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    if len(grads.ew) != len(net.weights):
-        raise ValueError("gradient/weight matrix count mismatch")
-    for w, g in zip(net.weights, grads.ew):
-        if w.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match weight shape {w.shape}")
-    _descend(net.weights, grads.ew, learning_rate)
-    return net
 
 
 def _example_arrays(net: Network, data: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:

@@ -63,6 +63,22 @@ class TestIngest:
         assert "line 2: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
 
+    def test_unicode_line_separator_in_body_survives_train_and_search(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "body": "semantic web\\u2028mining"}\n', encoding="utf-8")
+        judgments = tmp_path / "j.tsv"
+        judgments.write_text("semantic web\ta\t1\n", encoding="utf-8")
+        index, model = str(tmp_path / "idx"), str(tmp_path / "m")
+        assert cli.main(["ingest", "--corpus", str(corpus), "--index", index]) == cli.EXIT_OK
+        assert cli.main(["train", "--index", index, "--judgments", str(judgments), "--model", model,
+                         "--epochs", "2"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["search", "web", "--cutoff", "0", "--format", "machine",
+                         "--index", index, "--model", model]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"][0]["doc_id"] == "a"
+
     def test_duplicate_id_corpus_names_offender(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text(
@@ -172,6 +188,17 @@ class TestTrain:
                 captured = capsys.readouterr()
                 assert captured.err == ""
                 assert captured.out
+
+    def test_hidden_too_large_to_allocate_is_usage_error(self, tmp_path, ingested, capsys):
+        # 3 x 10**15 doubles is about 21 PiB: the allocation fails at once.
+        model_path = tmp_path / "m"
+        code = cli.main([
+            "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+            "--model", str(model_path), "--hidden", str(10**15),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model_path.exists()
 
     def test_unknown_doc_in_judgments_is_data_error(self, tmp_path, ingested, capsys):
         bad = tmp_path / "bad.tsv"

@@ -9,7 +9,12 @@ from pswm import (
     Document,
     InvertedIndex,
     MetaRecord,
+    analyze,
     build_index,
+    build_syntax_tree,
+    evaluate,
+    init_weights,
+    judgments_to_examples,
     load_index,
     parse_corpus_file,
     save_index,
@@ -86,6 +91,12 @@ class TestParseCorpusFile:
         docs = parse_corpus_file(path)
         assert [d.id for d in docs] == ["a", "b"]
 
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        body = "semantic web\u2028mining\u2029and\x85more"
+        path.write_text(json.dumps({"id": "a", "body": body}, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert parse_corpus_file(path) == [Document(id="a", body=body)]
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "body": "x"}\n{oops\n', encoding="utf-8")
@@ -158,6 +169,17 @@ class TestBuildIndex:
         index = build_index(docs)
         assert index.postings["tok"] == ["a", "m", "z"]
 
+    def test_postings_ascend_however_docs_were_filled(self):
+        docs = [Document(id="z", body="tok z"), Document(id="m", body="tok"), Document(id="a", body="tok a")]
+        index = InvertedIndex(docs={d.id: d for d in docs})
+        assert list(index.docs) == ["z", "m", "a"]
+        assert index.postings == {"tok": ["a", "m", "z"], "z": ["z"], "a": ["a"]}
+        assert index.postings == build_index(docs).postings
+
+    def test_postings_cannot_be_set_apart_from_docs(self):
+        with pytest.raises(TypeError):
+            InvertedIndex(postings={"tok": ["a"]})
+
     def test_duplicate_ids_rejected(self):
         docs = [Document(id="a", body="x"), Document(id="a", body="y")]
         with pytest.raises(ValueError, match="duplicate"):
@@ -180,6 +202,16 @@ class TestIndexPersistence:
         assert loaded.doc_count == fixture_index.doc_count
         assert loaded.docs == fixture_index.docs
         assert loaded.postings == fixture_index.postings
+
+    def test_postings_built_only_when_read(self, fixture_index, fixture_judgments, tmp_path):
+        path = tmp_path / "idx"
+        save_index(fixture_index, path)
+        loaded = load_index(path)
+        judgments_to_examples(fixture_judgments, loaded)
+        evaluate(init_weights([2, 4, 1], 0), fixture_judgments, loaded)
+        assert "postings" not in vars(loaded)
+        analyze(build_syntax_tree("semantic web"), loaded)
+        assert vars(loaded)["postings"] == fixture_index.postings
 
     def test_save_is_deterministic(self, fixture_index, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

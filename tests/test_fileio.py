@@ -1,4 +1,4 @@
-"""Crash-safe persistence: a failed save leaves the previous file as it was."""
+"""Text files: lines end only at newlines, and a failed save leaves the previous file as it was."""
 
 import errno
 import os
@@ -43,3 +43,17 @@ def test_failed_save_keeps_previous_file(artifact, fixture_docs, tmp_path, monke
 
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == [artifact]
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", []),
+    ("a", ["a"]),
+    ("a\n", ["a"]),
+    ("a\n\n", ["a", ""]),
+    ("a\r\nb\rc\n", ["a", "b", "c"]),
+    ("a\u2028b\u2029c\x85d\x0ce\n", ["a\u2028b\u2029c\x85d\x0ce"]),
+])
+def test_read_lines_splits_on_newlines_only(text, lines, tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(text.encode("utf-8"))
+    assert fileio.read_lines(path, "test") == lines

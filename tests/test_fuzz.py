@@ -1,4 +1,4 @@
-"""Fuzzing: every loader ends in a value or a DataError, and the CLI never raises."""
+"""Fuzzing: every loader ends in a value or a DataError, a saved index loads back equal, and the CLI never raises."""
 
 import contextlib
 import io
@@ -11,7 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pswm import DataError, cli, load_index, load_model, parse_corpus_file, parse_judgments_file
+from pswm import (
+    DataError,
+    Document,
+    MetaRecord,
+    build_index,
+    cli,
+    load_index,
+    load_model,
+    parse_corpus_file,
+    parse_judgments_file,
+    save_index,
+)
 from pswm.corpus import INDEX_MAGIC
 from pswm.neural import MODEL_MAGIC
 
@@ -106,6 +117,34 @@ def test_loader_returns_or_raises_data_error(scratch, loader, contents):
             loader(path)
         except DataError:
             pass
+
+    check()
+
+
+def _doc_text(max_size: int, min_size: int = 0) -> st.SearchStrategy[str]:
+    """`_text` with U+2029 and U+0085 added: with U+2028, the line ends of `str.splitlines` that JSON writes raw."""
+    return st.text(_chars + "\u2029\x85", min_size=min_size, max_size=max_size)
+
+
+_documents = st.lists(
+    st.builds(
+        Document, id=_doc_text(3, min_size=1), url=_doc_text(3), title=_doc_text(3), body=_doc_text(20),
+        meta=st.builds(MetaRecord.from_raw, st.lists(_doc_text(5), max_size=3),
+                       st.dictionaries(_doc_text(5), st.floats(0.0, 1.0), max_size=3)),
+    ),
+    max_size=4, unique_by=lambda doc: doc.id,
+)
+
+
+def test_saved_index_loads_equal_to_the_built_one(scratch):
+    path = scratch / "roundtrip"
+
+    @FUZZ
+    @given(docs=_documents)
+    def check(docs):
+        index = build_index(docs)
+        save_index(index, path)
+        assert load_index(path) == index
 
     check()
 

@@ -8,10 +8,8 @@ import pytest
 
 from pswm import (
     DataError,
-    Gradients,
     Network,
     TrainingExample,
-    apply_gradients,
     backprop,
     error,
     forward,
@@ -247,48 +245,17 @@ class TestBackprop:
 
 
 class TestApplyGradients:
-    def test_descends_against_gradient(self):
-        net = Network([1, 1], [np.array([[0.5], [0.5]])])
-        grads = Gradients(ew=[np.array([[0.1], [-0.2]])], ea=[], ei=[])
-        out = apply_gradients(net, grads, learning_rate=0.5)
-        assert out is net
-        np.testing.assert_allclose(net.weights[0], [[0.45], [0.6]], rtol=1e-14)
-
-    def test_hand_update_arithmetic(self):
-        # W' = W - lr * EW = 0.5 - 0.5 * 0.08 = 0.46
-        net = Network([1, 1], [np.array([[0.5], [0.0]])])
-        grads = Gradients(ew=[np.array([[0.08], [0.0]])], ea=[], ei=[])
-        apply_gradients(net, grads, learning_rate=0.5)
-        assert net.weights[0][0, 0] == pytest.approx(0.46, rel=1e-14)
-
-    def test_zero_gradients_leave_weights_unchanged(self):
-        net = init_weights([2, 3, 1], 44)
-        before = [w.copy() for w in net.weights]
-        grads = Gradients(ew=[np.zeros_like(w) for w in net.weights], ea=[], ei=[])
-        apply_gradients(net, grads, learning_rate=0.9)
-        for w, b in zip(net.weights, before):
-            assert np.array_equal(w, b)
+    """One descent step, written out as `train` takes it: every weight moves against its derivative."""
 
     def test_step_lowers_error(self):
         net = init_weights([2, 3, 1], 12)
         features, desired = [0.2, 0.8], [1.0]
         acts = forward(net, features)
         before = error(acts[-1], desired)
-        apply_gradients(net, backprop(net, acts, desired), 0.5)
+        for w, g in zip(net.weights, backprop(net, acts, desired).ew):
+            w -= 0.5 * g
         after = error(forward(net, features)[-1], desired)
         assert after < before
-
-    def test_non_positive_learning_rate(self):
-        net = init_weights([1, 1], 0)
-        grads = Gradients(ew=[np.zeros((2, 1))], ea=[], ei=[])
-        with pytest.raises(ValueError, match="learning rate"):
-            apply_gradients(net, grads, 0.0)
-
-    def test_shape_mismatch(self):
-        net = init_weights([1, 1], 0)
-        grads = Gradients(ew=[np.zeros((3, 1))], ea=[], ei=[])
-        with pytest.raises(ValueError, match="shape"):
-            apply_gradients(net, grads, 0.1)
 
 
 AND_DATA = [
@@ -361,7 +328,7 @@ class TestTrain:
 
 
 def _reference_train(net, data, epochs, learning_rate, seed):
-    """`train` written with the public, validated functions, one call each per step."""
+    """`train` written with the public, validated functions, then the descent step inline."""
     rng = np.random.default_rng(seed)
     trace = []
     for _ in range(epochs):
@@ -369,7 +336,8 @@ def _reference_train(net, data, epochs, learning_rate, seed):
         for i in rng.permutation(len(data)):
             activations = forward(net, data[i].features)
             total += error(activations[-1], data[i].desired)
-            apply_gradients(net, backprop(net, activations, data[i].desired), learning_rate)
+            for w, g in zip(net.weights, backprop(net, activations, data[i].desired).ew):
+                w -= learning_rate * g
         trace.append(total / len(data))
     return net, trace
 
