@@ -27,13 +27,7 @@ from .neural import (
 )
 from .query import QuerySyntaxTree, build_syntax_tree, tokenize
 from .ranker import RankedResult, ResultPage, attach_probabilities, format_results, render
-from .scoring import (
-    CandidateFeatures,
-    analyze,
-    semantic_score,
-    syntactic_candidates,
-    syntactic_score,
-)
+from .scoring import CandidateFeatures, analyze, semantic_score, syntactic_score
 from .training import Judgment, evaluate, judgments_to_examples, parse_judgments_file
 
 __version__ = "0.1.0"
@@ -73,7 +67,6 @@ __all__ = [
     "save_model",
     "semantic_score",
     "sigmoid",
-    "syntactic_candidates",
     "syntactic_score",
     "tokenize",
     "train",

@@ -95,9 +95,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_ranking_model(path) -> neural.Network:
+    """Load a model for ranking; DataError unless it maps the two features to one output."""
+    net = neural.load_model(path)
+    try:
+        ranker.check_ranking_shape(net)
+    except ValueError as exc:
+        raise DataError(f"model {path}: {exc}") from exc
+    return net
+
+
 def cmd_search(args) -> int:
     index = corpus.load_index(args.index)
-    net = neural.load_model(args.model)
+    net = _load_ranking_model(args.model)
     tree = build_syntax_tree(args.query)
     candidates = scoring.analyze(tree, index)
     ranked = ranker.attach_probabilities(candidates, net)
@@ -108,7 +118,7 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     index = corpus.load_index(args.index)
-    net = neural.load_model(args.model)
+    net = _load_ranking_model(args.model)
     judgments = training.parse_judgments_file(args.judgments)
     if not judgments:
         raise DataError(f"judgments file {args.judgments} contains no judgments")

@@ -12,18 +12,17 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 def tokenize(text: str) -> list[str]:
     """Lowercase `text` and split it into alphanumeric runs.
 
-    The same tokenizer is used for queries, document bodies, and metadata
-    normalization, so candidate matching and scoring agree on what a token
-    is. Empty input yields an empty list.
+    Queries and document bodies share it, so matching and scoring agree on
+    what a token is; metadata tags are never tokenized, only stripped and
+    lowercased whole. Empty input yields an empty list.
     """
     return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass
 class QuerySyntaxTree:
-    """Root of a parsed query: the raw string plus its ordered leaf tokens."""
+    """Root of a parsed query: its ordered leaf tokens."""
 
-    raw: str
     leaves: list[str]
 
 
@@ -35,4 +34,4 @@ def build_syntax_tree(query: str) -> QuerySyntaxTree:
     leaves = tokenize(query)
     if not leaves:
         raise ValueError("empty query: no searchable tokens")
-    return QuerySyntaxTree(raw=query, leaves=leaves)
+    return QuerySyntaxTree(leaves=leaves)

@@ -35,14 +35,19 @@ class ResultPage:
     total_candidates: int = 0
 
 
+def check_ranking_shape(net: Network) -> None:
+    """Raise ValueError unless `net` maps the two features to one output."""
+    if net.layer_sizes[0] != 2 or net.layer_sizes[-1] != 1:
+        raise ValueError(f"ranking network must map 2 features to 1 output, got {net.layer_sizes}")
+
+
 def attach_probabilities(candidates: list[CandidateFeatures], net: Network) -> list[RankedResult]:
     """Label every candidate with the network's output for its feature pair.
 
     Order-preserving and pointwise. Raises ValueError unless the network
     maps two inputs to one output. Sigmoid overflow is not reported.
     """
-    if net.layer_sizes[0] != 2 or net.layer_sizes[-1] != 1:
-        raise ValueError(f"ranking network must map 2 features to 1 output, got {net.layer_sizes}")
+    check_ranking_shape(net)
     ranked: list[RankedResult] = []
     # Huge finite weights overflow exp in the sigmoid, which saturates correctly.
     with np.errstate(over="ignore"):

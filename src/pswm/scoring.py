@@ -8,6 +8,9 @@ in [0, 1] that together form the probability network's input vector:
   semantic  -- Jaccard overlap between the query tokens and the document's
                metadata tags (keywords plus concept tags whose weight is at
                least ``CONCEPT_WEIGHT_THRESHOLD``)
+
+A tag is one whole lowercased string, so it counts only when it equals a query
+token: "semantic web" or "e-commerce" never matches, yet enlarges the union.
 """
 
 from __future__ import annotations
@@ -26,14 +29,6 @@ class CandidateFeatures:
     doc_id: str
     syntactic: float
     semantic: float
-
-
-def syntactic_candidates(tree: QuerySyntaxTree, index: InvertedIndex) -> set[str]:
-    """Ids of documents whose body contains at least one query token."""
-    found: set[str] = set()
-    for token in set(tree.leaves):
-        found.update(index.postings.get(token, ()))
-    return found
 
 
 def syntactic_score(tree: QuerySyntaxTree, doc: Document) -> float:
@@ -69,8 +64,9 @@ def analyze(tree: QuerySyntaxTree, index: InvertedIndex) -> list[CandidateFeatur
     Zero-semantic candidates are kept; rejection is the probability stage's
     job, not this one's.
     """
+    found = set().union(*(index.postings.get(token, ()) for token in set(tree.leaves)))
     out: list[CandidateFeatures] = []
-    for doc_id in sorted(syntactic_candidates(tree, index)):
+    for doc_id in sorted(found):
         doc = index.docs[doc_id]
         out.append(
             CandidateFeatures(

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from pswm import DataError, cli, load_index, load_model
+from pswm import DataError, cli, init_weights, load_index, load_model, save_model
 from pswm.neural import MODEL_MAGIC
 
 from conftest import CORPUS_PATH, JUDGMENTS_PATH
@@ -324,6 +324,23 @@ class TestEval:
         ])
         assert code == cli.EXIT_DATA
         assert "ghost" in capsys.readouterr().err
+
+
+class TestRankingModelShape:
+    @pytest.mark.parametrize("sizes", [[3, 4, 1], [2, 4, 2]])
+    @pytest.mark.parametrize("command", [
+        ["search", "web"],
+        ["eval", "--judgments", str(JUDGMENTS_PATH)],
+    ])
+    def test_wrong_shape_is_data_error(self, tmp_path, ingested, capsys, command, sizes):
+        model_path = tmp_path / "wide_model"
+        save_model(init_weights(sizes, 0), model_path)
+        code = cli.main(command + ["--index", str(ingested), "--model", str(model_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert str(model_path) in captured.err
+        assert str(sizes) in captured.err
+        assert captured.out == ""
 
 
 class TestGradcheck:

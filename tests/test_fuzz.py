@@ -1,27 +1,43 @@
-"""Fuzzing: every loader ends in a value or a DataError, a saved index loads back equal, and the CLI never raises."""
+"""Fuzzing and properties.
+
+Every loader ends in a value or a DataError, a saved index loads back equal
+with the brute-force postings, `analyze` and `attach_probabilities` equal
+their per-document definitions, and the CLI never raises.
+"""
 
 import contextlib
 import io
 import json
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pswm import (
+    CandidateFeatures,
     DataError,
     Document,
     MetaRecord,
+    Network,
+    analyze,
+    attach_probabilities,
     build_index,
+    build_syntax_tree,
     cli,
+    forward,
     load_index,
     load_model,
     parse_corpus_file,
     parse_judgments_file,
     save_index,
+    semantic_score,
+    syntactic_score,
+    tokenize,
 )
 from pswm.corpus import INDEX_MAGIC
 from pswm.neural import MODEL_MAGIC
@@ -29,6 +45,7 @@ from pswm.neural import MODEL_MAGIC
 from conftest import CORPUS_PATH, JUDGMENTS_PATH
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+PROPERTY = settings(max_examples=100, deadline=None)
 
 # A small alphabet keeps generation fast and still reaches JSON syntax, control and non-ASCII characters.
 _chars = "aAz09 _-.,:#\"'{}[]\\\t\r\x00\u00e9\u20ac\u2028"
@@ -147,6 +164,84 @@ def test_saved_index_loads_equal_to_the_built_one(scratch):
         assert load_index(path) == index
 
     check()
+
+
+def _brute_force_postings(docs: list[Document]) -> dict[str, list[str]]:
+    ordered = sorted(docs, key=lambda doc: doc.id)
+    tokens = set().union(*(tokenize(doc.body) for doc in docs))
+    return {t: [doc.id for doc in ordered if t in tokenize(doc.body)] for t in tokens}
+
+
+def test_postings_equal_brute_force_when_built_and_when_loaded(scratch):
+    path = scratch / "postings"
+
+    @PROPERTY
+    @given(docs=_documents)
+    def check(docs):
+        expected = _brute_force_postings(docs)
+        index = build_index(docs)
+        save_index(index, path)
+        assert index.postings == expected
+        assert load_index(path).postings == expected
+
+    check()
+
+
+# Few words over few documents, so queries, bodies and tags overlap often.
+_words = st.sampled_from(["web", "Web", "semantic", "data", "mining", "x1", "\u00e9t\u00e9"])
+
+
+def _phrase(min_words: int, words=_words) -> st.SearchStrategy[str]:
+    parts = st.lists(st.tuples(words, st.sampled_from([" ", "-", "_", ", ", "!"])), min_size=min_words, max_size=5)
+    return parts.map(lambda pairs: "".join(w + sep for w, sep in pairs))
+
+
+_tags = _words | st.sampled_from(["semantic web", "e-commerce", " Data "])
+_word_documents = st.lists(
+    st.builds(
+        Document, id=st.text("aB19", min_size=1, max_size=2), body=_phrase(0),
+        meta=st.builds(MetaRecord.from_raw, st.lists(_tags, max_size=3),
+                       st.dictionaries(_tags, st.floats(0.0, 1.0), max_size=2)),
+    ),
+    max_size=6, unique_by=lambda doc: doc.id,
+)
+
+
+@PROPERTY
+@given(docs=_word_documents, query=_phrase(1, _words | st.just("zzz")))
+def test_analyze_equals_brute_force_over_every_document(docs, query):
+    tree = build_syntax_tree(query)
+    expected = [
+        CandidateFeatures(doc.id, syntactic_score(tree, doc), semantic_score(tree, doc.meta))
+        for doc in sorted(docs, key=lambda doc: doc.id)
+        if set(tree.leaves) & set(tokenize(doc.body))
+    ]
+    assert analyze(tree, build_index(docs)) == expected
+
+
+# Any finite weight: huge ones overflow exp in the sigmoid, which must saturate without a warning.
+_weight = st.floats(-5.0, 5.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _ranking_networks(draw):
+    hidden = draw(st.integers(1, 4))
+    shapes = [(3, hidden), (hidden + 1, 1)]
+    return Network([2, hidden, 1], [
+        [draw(st.lists(_weight, min_size=cols, max_size=cols)) for _ in range(rows)] for rows, cols in shapes
+    ])
+
+
+@PROPERTY
+@given(net=_ranking_networks(), rows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=5))
+def test_attach_probabilities_equals_forward_bitwise(net, rows):
+    candidates = [CandidateFeatures(f"d{i}", s, m) for i, (s, m) in enumerate(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranked = attach_probabilities(candidates, net)
+    with np.errstate(over="ignore"):
+        expected = [float(forward(net, [s, m])[-1][0]) for s, m in rows]
+    assert [r.probability.hex() for r in ranked] == [p.hex() for p in expected]
 
 
 @pytest.fixture(scope="module")

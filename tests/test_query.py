@@ -48,7 +48,6 @@ class TestBuildSyntaxTree:
     def test_leaves_and_raw(self):
         tree = build_syntax_tree("Semantic Web Mining")
         assert isinstance(tree, QuerySyntaxTree)
-        assert tree.raw == "Semantic Web Mining"
         assert tree.leaves == ["semantic", "web", "mining"]
 
     def test_empty_query_rejected(self):

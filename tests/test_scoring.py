@@ -11,39 +11,9 @@ from pswm import (
     build_index,
     build_syntax_tree,
     semantic_score,
-    syntactic_candidates,
     syntactic_score,
 )
 from pswm.scoring import CONCEPT_WEIGHT_THRESHOLD
-
-
-class TestSyntacticCandidates:
-    def test_or_semantics_on_fixture(self, fixture_index):
-        tree = build_syntax_tree("semantic web mining")
-        assert syntactic_candidates(tree, fixture_index) == {"d01", "d13", "d14", "d15"}
-
-    def test_unknown_token_matches_nothing(self, fixture_index):
-        tree = build_syntax_tree("zzzunseen")
-        assert syntactic_candidates(tree, fixture_index) == set()
-
-    def test_any_single_token_suffices(self):
-        index = build_index([Document(id="a", body="alpha beta"), Document(id="b", body="gamma")])
-        tree = build_syntax_tree("beta gamma")
-        assert syntactic_candidates(tree, index) == {"a", "b"}
-
-    def test_partial_query_coverage_still_matches(self):
-        index = build_index(
-            [Document(id="d1", body="semantic web"), Document(id="d2", body="cooking")]
-        )
-        tree = build_syntax_tree("semantic web mining")
-        assert syntactic_candidates(tree, index) == {"d1"}
-
-    def test_token_in_every_doc_matches_all(self):
-        index = build_index(
-            [Document(id=f"d{i}", body=f"common filler {i}") for i in range(5)]
-        )
-        tree = build_syntax_tree("common")
-        assert syntactic_candidates(tree, index) == {f"d{i}" for i in range(5)}
 
 
 class TestSyntacticScore:
@@ -78,7 +48,7 @@ class TestSyntacticScore:
         assert syntactic_score(tree, doc) == 0.5
 
     def test_empty_leaves_scores_zero(self):
-        tree = QuerySyntaxTree(raw="", leaves=[])
+        tree = QuerySyntaxTree(leaves=[])
         assert syntactic_score(tree, Document(id="x", body="anything")) == 0.0
 
 
@@ -121,7 +91,7 @@ class TestSemanticScore:
         assert semantic_score(tree, MetaRecord()) == 0.0
 
     def test_empty_query_and_empty_meta(self):
-        tree = QuerySyntaxTree(raw="", leaves=[])
+        tree = QuerySyntaxTree(leaves=[])
         assert semantic_score(tree, MetaRecord()) == 0.0
 
     def test_duplicate_query_tokens_counted_once(self):
@@ -149,6 +119,25 @@ class TestAnalyze:
     def test_no_candidates(self, fixture_index):
         tree = build_syntax_tree("zzzunseen")
         assert analyze(tree, fixture_index) == []
+
+    def test_any_single_token_suffices(self):
+        index = build_index([Document(id="a", body="alpha beta"), Document(id="b", body="gamma")])
+        tree = build_syntax_tree("beta gamma")
+        assert analyze(tree, index) == [CandidateFeatures("a", 0.5, 0.0), CandidateFeatures("b", 0.5, 0.0)]
+
+    def test_partial_query_coverage_still_matches(self):
+        index = build_index(
+            [Document(id="d1", body="semantic web"), Document(id="d2", body="cooking")]
+        )
+        tree = build_syntax_tree("semantic web mining")
+        assert analyze(tree, index) == [CandidateFeatures("d1", 2 / 3, 0.0)]
+
+    def test_token_in_every_doc_matches_all(self):
+        index = build_index(
+            [Document(id=f"d{i}", body=f"common filler {i}") for i in range(5)]
+        )
+        tree = build_syntax_tree("common")
+        assert analyze(tree, index) == [CandidateFeatures(f"d{i}", 1.0, 0.0) for i in range(5)]
 
     def test_ascending_doc_id_order(self, fixture_index):
         tree = build_syntax_tree("web network index data")
