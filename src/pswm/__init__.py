@@ -11,7 +11,6 @@ from .corpus import (
 )
 from .errors import DataError
 from .neural import (
-    Gradients,
     Network,
     TrainingExample,
     backprop,
@@ -36,7 +35,6 @@ __all__ = [
     "CandidateFeatures",
     "DataError",
     "Document",
-    "Gradients",
     "InvertedIndex",
     "Judgment",
     "MetaRecord",

@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="output model file")
     p.add_argument("--epochs", type=_non_negative_int, default=DEFAULT_EPOCHS)
     p.add_argument("--lr", type=_positive_float, default=DEFAULT_LR)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--hidden", type=_positive_int, default=DEFAULT_HIDDEN)
     p.set_defaults(func=cmd_train)
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="verify backward-pass derivatives numerically")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

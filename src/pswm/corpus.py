@@ -57,9 +57,9 @@ class MetaRecord:
                 raise ValueError(f"concept tag is not a string: {tag!r}")
             if isinstance(weight, bool) or not isinstance(weight, (int, float)):
                 raise ValueError(f"concept weight for {tag!r} is not a number: {weight!r}")
+            if not 0 <= weight <= 1:  # before float(): an int may exceed the float range
+                raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
             w = float(weight)
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {w}")
             tag = tag.strip().lower()
             if tag:
                 norm_concepts[tag] = w
@@ -133,10 +133,10 @@ def _parse_record(obj, line_no: int) -> Document:
 
 
 def _json_line(line: str, line_no: int):
-    """Decode one JSON record line; DataError naming the line if it is malformed or nested too deeply."""
+    """Decode one JSON record line; DataError naming the line if it is malformed, too deep or has an over-long int."""
     try:
         return json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
 
 

@@ -34,16 +34,20 @@ def write_text_atomic(path, text: str) -> None:
     The text goes to a fresh temporary file in the target's directory, is
     flushed to disk, and is then renamed onto `path`. If any step fails the
     temporary file is removed and a previous file at `path` is untouched.
+    An OSError names `path` and the reason, not the temporary file.
     """
     tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

@@ -3,7 +3,8 @@
 Everything here is written out by hand rather than delegated to an ML
 framework: the forward pass computes each unit's total weighted input and
 squashes it through the sigmoid, the loss is half the summed squared output
-error, and the backward pass produces three derivative families per layer:
+error, and the backward pass works through three derivative families per
+layer:
 
   ea -- how fast the error changes with a unit's activity (output layer:
         activity minus desired value; earlier layers: the weight-weighted
@@ -12,6 +13,9 @@ error, and the backward pass produces three derivative families per layer:
         (ea scaled by the sigmoid slope, activity * (1 - activity))
   ew -- how fast the error changes with a weight (ei scaled by the source
         unit's activity)
+
+`backprop` returns only the last family: one derivative matrix per weight
+matrix, shaped like it.
 
 Thresholds are realized as bias units: every non-output layer carries one
 extra unit with constant activity 1.0, so each weight matrix has one more
@@ -95,20 +99,6 @@ class TrainingExample:
     desired: list[float]
 
 
-@dataclass
-class Gradients:
-    """Error derivatives for one example.
-
-    ``ew[k]`` mirrors ``weights[k]``. ``ea[k]`` is the error/activity vector
-    of layer k (k = 0 is the input layer). ``ei[k]`` is the error/input
-    vector of layer k + 1 (input units have no squashed input).
-    """
-
-    ew: list[np.ndarray]
-    ea: list[np.ndarray]
-    ei: list[np.ndarray]
-
-
 def _augmented(layer_sizes) -> list[np.ndarray]:
     """One buffer per non-output layer: its activities, then the bias unit fixed at 1.0."""
     buffers = [np.empty(n + 1) for n in layer_sizes[:-1]]
@@ -129,19 +119,19 @@ def _half_square(diff) -> float:
     return 0.5 * float((diff ** 2).sum())
 
 
-def _backward(weights, aug, output, ea_out) -> Gradients:
-    """Backward pass over a forward pass held in ``aug`` and ``output``, ``ea_out`` being output minus desired."""
-    n = len(weights)
-    ea = [ea_out] * (n + 1)
-    ei = [ea_out] * n
-    ew = [ea_out] * n
+def _backward(weights, aug, output, ea) -> list[np.ndarray]:
+    """Backward pass over a forward pass held in ``aug`` and ``output``, ``ea`` being output minus desired.
+
+    Returns one derivative matrix per weight matrix.
+    """
+    ew = [ea] * len(weights)
     y = output
-    for k in range(n - 1, -1, -1):
-        ei[k] = ea[k + 1] * y * (1.0 - y)
-        ew[k] = aug[k][:, None] * ei[k]  # np.outer's products, without its per-call overhead
-        ea[k] = weights[k][:-1] @ ei[k]
+    for k in range(len(weights) - 1, -1, -1):
+        ei = ea * y * (1.0 - y)
+        ew[k] = aug[k][:, None] * ei
+        ea = weights[k][:-1] @ ei
         y = aug[k][:-1]
-    return Gradients(ew=ew, ea=ea, ei=ei)
+    return ew
 
 
 def _step(weights, aug, desired, learning_rate) -> float:
@@ -152,7 +142,7 @@ def _step(weights, aug, desired, learning_rate) -> float:
     """
     output = _forward(weights, aug)
     ea_out = output - desired
-    for w, g in zip(weights, _backward(weights, aug, output, ea_out).ew):
+    for w, g in zip(weights, _backward(weights, aug, output, ea_out)):
         w -= learning_rate * g
     return _half_square(ea_out)
 
@@ -182,12 +172,13 @@ def error(output, desired) -> float:
     return _half_square(y - d)
 
 
-def backprop(net: Network, activations, desired) -> Gradients:
-    """Backward pass over activations produced by `forward`.
+def backprop(net: Network, activations, desired) -> list[np.ndarray]:
+    """Backward pass over activations produced by `forward`; returns one derivative matrix per weight matrix.
 
     Works output-to-input: error/activity at the output layer, then per
     layer the error/input values, the weight derivatives (bias row uses
     source activity 1.0), and the previous layer's error/activity values.
+    Entry k of the result has the shape of ``net.weights[k]``.
     """
     n_layers = len(net.layer_sizes)
     if len(activations) != n_layers:
@@ -229,8 +220,9 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
 
     The shuffle order is drawn from a generator seeded with `seed`, so the
     whole run is deterministic given (seed, data order, initial weights).
-    Returns the trained network and one mean-error entry per epoch, the
-    error being measured on each example's pre-update forward pass.
+    The weights of `net` change in place, and `net` itself is returned
+    with one mean-error entry per epoch, the error being measured on each
+    example's pre-update forward pass.
     Every example is checked before any weight changes: ValueError names
     the first one whose lengths do not fit the network or whose values
     are not finite. Raises ValueError if a weight is not finite after an
@@ -337,9 +329,8 @@ def gradient_check(net: Network, features, desired, h: float = 1e-4) -> float:
     max(|analytic|, |numeric|, 1e-8).
     """
     activations = forward(net, features)
-    grads = backprop(net, activations, desired)
     worst = 0.0
-    for w, g in zip(net.weights, grads.ew):
+    for w, g in zip(net.weights, backprop(net, activations, desired)):
         for i in range(w.shape[0]):
             for j in range(w.shape[1]):
                 original = w[i, j]

@@ -20,10 +20,7 @@ DEFAULT_CUTOFF = 0.5
 
 
 @dataclass
-class RankedResult:
-    doc_id: str
-    syntactic: float
-    semantic: float
+class RankedResult(CandidateFeatures):
     probability: float
 
 
@@ -53,14 +50,7 @@ def attach_probabilities(candidates: list[CandidateFeatures], net: Network) -> l
     with np.errstate(over="ignore"):
         for cand in candidates:
             probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
-            ranked.append(
-                RankedResult(
-                    doc_id=cand.doc_id,
-                    syntactic=cand.syntactic,
-                    semantic=cand.semantic,
-                    probability=probability,
-                )
-            )
+            ranked.append(RankedResult(cand.doc_id, cand.syntactic, cand.semantic, probability))
     return ranked
 
 

@@ -63,6 +63,31 @@ class TestIngest:
         assert "line 2: invalid JSON" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
 
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "body": "x", "meta": {"concepts": {"t": 1%s}}}' % ("0" * 400),
+        '{"id": "a", "body": "x", "meta": {"concepts": {"t": 1%s}}}' % ("0" * 5000),
+    ], ids=["beyond-float", "beyond-int-digits"])
+    def test_huge_integer_in_corpus_is_data_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "huge.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--corpus", str(bad), "--index", str(tmp_path / "idx")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err.startswith("error: line 1: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "idx").exists()
+
+    @pytest.mark.parametrize("target", ["missing/idx", "a_directory"])
+    def test_failed_save_names_the_target(self, tmp_path, capsys, target):
+        (tmp_path / "a_directory").mkdir()
+        index_path = tmp_path / target
+        code = cli.main(["ingest", "--corpus", str(CORPUS_PATH), "--index", str(index_path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert f"'{index_path}'" in err
+        assert ".tmp" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory"]
+
     def test_unicode_line_separator_in_body_survives_train_and_search(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{"id": "a", "body": "semantic web\\u2028mining"}\n', encoding="utf-8")
@@ -325,6 +350,18 @@ class TestEval:
         assert code == cli.EXIT_DATA
         assert "ghost" in capsys.readouterr().err
 
+    def test_comment_only_judgments_is_data_error(self, tmp_path, ingested, trained, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# nothing here\n", encoding="utf-8")
+        code = cli.main([
+            "eval", "--index", str(ingested), "--model", str(trained),
+            "--judgments", str(empty),
+        ])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert "no judgments" in captured.err
+        assert captured.out == ""
+
 
 class TestRankingModelShape:
     @pytest.mark.parametrize("sizes", [[3, 4, 1], [2, 4, 2]])
@@ -380,6 +417,14 @@ class TestUsageErrors:
     def test_subcommand_help_exits_zero(self, capsys):
         assert cli.main(["train", "--help"]) == cli.EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--index", "i", "--judgments", "j", "--model", "m"],
+        ["gradcheck"],
+    ])
+    def test_negative_seed_names_the_flag(self, capsys, command):
+        assert cli.main(command + ["--seed", "-1"]) == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestExceptionMapping:

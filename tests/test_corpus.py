@@ -62,6 +62,9 @@ class TestMetaRecord:
             MetaRecord.from_raw([], {"x": 1.5})
         with pytest.raises(ValueError, match="outside"):
             MetaRecord.from_raw([], {"x": -0.1})
+        for huge in (10**400, -10**400):
+            with pytest.raises(ValueError, match="outside"):
+                MetaRecord.from_raw([], {"x": huge})
 
 
 class TestParseCorpusFile:
@@ -131,6 +134,12 @@ class TestParseCorpusFile:
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "a", "body": "x", "meta": 7}\n', encoding="utf-8")
         with pytest.raises(DataError, match="'meta'"):
+            parse_corpus_file(path)
+
+    def test_keywords_not_an_array(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "body": "x", "meta": {"keywords": "web"}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 1: 'meta.keywords' must be an array"):
             parse_corpus_file(path)
 
     def test_bad_meta_weight_reported_with_line(self, tmp_path):
@@ -242,6 +251,18 @@ class TestIndexPersistence:
             path.write_text(f'{INDEX_MAGIC}\n{{"doc_count": {bad}}}\n', encoding="utf-8")
             with pytest.raises(DataError, match="doc_count"):
                 load_index(path)
+
+    def test_doc_count_too_long_to_parse(self, tmp_path):
+        path = tmp_path / "idx"
+        path.write_text(f'{INDEX_MAGIC}\n{{"doc_count": 1{"0" * 5000}}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: invalid JSON"):
+            load_index(path)
+
+    def test_magic_line_only(self, tmp_path):
+        path = tmp_path / "idx"
+        path.write_text(f"{INDEX_MAGIC}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="truncated index file: expected doc count header"):
+            load_index(path)
 
     def test_v1_index_asks_for_reingest(self, tmp_path):
         path = tmp_path / "idx"

@@ -60,7 +60,7 @@ def _mostly(valid, invalid):
     return st.one_of(valid, valid, valid, invalid)
 
 
-_scalars = st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | _text(6)
+_scalars = st.none() | st.booleans() | st.integers(-2, 3) | st.just(10**400) | st.floats() | _text(6)
 _json = _scalars | st.lists(_scalars, max_size=2) | st.dictionaries(_text(3), _scalars, max_size=2)
 _records = _mostly(
     st.fixed_dictionaries(
@@ -77,7 +77,8 @@ _records = _mostly(
     ),
     _json,
 )
-_record_lines = _mostly(_records.map(json.dumps), _text(30))
+# json.dumps refuses to write an int this long, so its line is raw text.
+_record_lines = _mostly(_records.map(json.dumps), _text(30) | st.just('{"id": "a", "body": %s}' % ("9" * 5000)))
 
 
 def _lines(magic: str, lines: st.SearchStrategy[list[str]]) -> st.SearchStrategy[bytes]:

@@ -161,34 +161,29 @@ class TestBackprop:
         #   ea_out = 0.8 - 0.3
         #   ei = ea * 0.8 * 0.2
         #   ew = ei * source activity (1.0 for both the unit and the bias)
-        #   ea_in = w * ei
         net = Network([1, 1], [np.array([[0.7], [0.1]])])
         acts = [np.array([1.0]), np.array([0.8])]
         grads = backprop(net, acts, [0.3])
         ea_out = 0.8 - 0.3
         ei = ea_out * 0.8 * (1.0 - 0.8)
-        np.testing.assert_allclose(grads.ea[1], [ea_out], rtol=1e-15)
-        np.testing.assert_allclose(grads.ei[0], [ei], rtol=1e-15)
-        np.testing.assert_allclose(grads.ew[0], [[ei], [ei]], rtol=1e-15)
-        np.testing.assert_allclose(grads.ea[0], [0.7 * ei], rtol=1e-15)
+        np.testing.assert_allclose(grads[0], [[ei], [ei]], rtol=1e-15)
 
     def test_bias_row_uses_unit_activity(self):
         net = Network([2, 1], [np.array([[0.5], [-0.5], [0.25]])])
         acts = forward(net, [0.4, 0.6])
         grads = backprop(net, acts, [1.0])
-        ei = grads.ei[0][0]
+        out = acts[-1][0]
+        ei = (out - 1.0) * out * (1.0 - out)
         # source rows scale ei by their activities; the bias row is ei itself
-        np.testing.assert_allclose(grads.ew[0][:, 0], [0.4 * ei, 0.6 * ei, ei], rtol=1e-12)
+        np.testing.assert_allclose(grads[0][:, 0], [0.4 * ei, 0.6 * ei, ei], rtol=1e-12)
 
     def test_gradient_shapes_mirror_weights(self):
         net = init_weights([3, 5, 2], 3)
         acts = forward(net, [0.1, 0.2, 0.3])
         grads = backprop(net, acts, [0.0, 1.0])
-        assert len(grads.ew) == 2
-        for w, g in zip(net.weights, grads.ew):
+        assert len(grads) == 2
+        for w, g in zip(net.weights, grads):
             assert g.shape == w.shape
-        assert [a.shape for a in grads.ea] == [(3,), (5,), (2,)]
-        assert [e.shape for e in grads.ei] == [(5,), (2,)]
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -202,7 +197,7 @@ class TestBackprop:
         net = init_weights([2, 2, 1], 1)
         acts = forward(net, [0.3, 0.9])
         grads = backprop(net, acts, acts[-1])
-        for g in grads.ew:
+        for g in grads:
             np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-15)
 
     def test_saturated_units_have_zero_input_derivative(self):
@@ -210,9 +205,10 @@ class TestBackprop:
         net = Network([1, 2, 1], [np.full((2, 2), 0.3), np.full((3, 1), 0.3)])
         acts = [np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0])]
         grads = backprop(net, acts, [0.0])
-        np.testing.assert_array_equal(grads.ei[0], [0.0, 0.0])
-        np.testing.assert_array_equal(grads.ei[1], [0.0])
-        np.testing.assert_array_equal(grads.ew[1], np.zeros((3, 1)))
+        # ei of each layer is its weight matrix's bias row
+        np.testing.assert_array_equal(grads[0][-1], [0.0, 0.0])
+        np.testing.assert_array_equal(grads[1][-1], [0.0])
+        np.testing.assert_array_equal(grads[1], np.zeros((3, 1)))
 
     def test_chain_consistency_on_1_1_1(self):
         w0 = np.array([[0.4], [-0.1]])
@@ -227,15 +223,20 @@ class TestBackprop:
         ei_out = ea_out * out * (1.0 - out)
         ea_hidden = w1[0, 0] * ei_out
         ei_hidden = ea_hidden * h * (1.0 - h)
-        assert grads.ea[1][0] == pytest.approx(ea_hidden, rel=1e-14)
-        assert grads.ei[0][0] == pytest.approx(ei_hidden, rel=1e-14)
-        assert grads.ew[0][0, 0] == pytest.approx(0.6 * ei_hidden, rel=1e-14)
-        assert grads.ew[0][1, 0] == pytest.approx(ei_hidden, rel=1e-14)
+        assert grads[1][0, 0] == pytest.approx(h * ei_out, rel=1e-14)
+        assert grads[1][1, 0] == pytest.approx(ei_out, rel=1e-14)
+        assert grads[0][0, 0] == pytest.approx(0.6 * ei_hidden, rel=1e-14)
+        assert grads[0][1, 0] == pytest.approx(ei_hidden, rel=1e-14)
 
     def test_wrong_activation_count(self):
         net = init_weights([2, 1], 0)
         with pytest.raises(ValueError, match="activation vectors"):
             backprop(net, [np.array([1.0, 2.0])], [0.5])
+
+    def test_wrong_activation_shape(self):
+        net = init_weights([2, 1], 0)
+        with pytest.raises(ValueError, match=r"activation vector 0 has shape \(3,\), expected \(2,\)"):
+            backprop(net, [np.array([1.0, 2.0, 3.0]), np.array([0.5])], [0.5])
 
     def test_wrong_desired_shape(self):
         net = init_weights([2, 1], 0)
@@ -252,7 +253,7 @@ class TestApplyGradients:
         features, desired = [0.2, 0.8], [1.0]
         acts = forward(net, features)
         before = error(acts[-1], desired)
-        for w, g in zip(net.weights, backprop(net, acts, desired).ew):
+        for w, g in zip(net.weights, backprop(net, acts, desired)):
             w -= 0.5 * g
         after = error(forward(net, features)[-1], desired)
         assert after < before
@@ -336,7 +337,7 @@ def _reference_train(net, data, epochs, learning_rate, seed):
         for i in rng.permutation(len(data)):
             activations = forward(net, data[i].features)
             total += error(activations[-1], data[i].desired)
-            for w, g in zip(net.weights, backprop(net, activations, data[i].desired).ew):
+            for w, g in zip(net.weights, backprop(net, activations, data[i].desired)):
                 w -= learning_rate * g
         trace.append(total / len(data))
     return net, trace
