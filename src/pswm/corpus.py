@@ -11,8 +11,10 @@ Corpus files are UTF-8 with one JSON record per line:
 Index files (format v2) are UTF-8 text. Line 1 is the magic
 ``PSWM-INDEX v2``, line 2 is ``{"doc_count": N}`` (so truncation shows),
 then exactly N document records, one per line, in strictly ascending id
-order. Postings are not stored: an index derives them from the bodies on
-first read. An older ``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
+order. Postings are not stored: an index derives each posting list from the
+bodies when a lookup first asks for it, and the full postings only once
+lookups have tokenized as many bodies as the index holds. An older
+``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
 """
 
 from __future__ import annotations
@@ -81,11 +83,19 @@ class Document:
 class InvertedIndex:
     """Immutable-by-convention token index over a document set.
 
-    `docs` maps ids to documents and is the index's only field. `postings`
-    maps each body token to the ascending list of ids of the documents
-    whose body contains it. It is derived from `docs` on first read and
-    then cached, so it cannot disagree with `docs` unless `docs` is changed
-    after that read. Only `docs` is saved (index format v2).
+    `docs` maps ids to documents and is the index's only field; everything
+    else is derived from it on demand and cached, so it cannot disagree with
+    `docs` unless `docs` is changed after a read. Only `docs` is saved
+    (index format v2).
+
+    `posting(token)` gives one token's ascending id list. Until the full
+    view exists it tokenizes only the bodies that contain the token as a
+    substring, and memoises the list. `postings` is the full view: every
+    body token's list, built by tokenizing every body. A lookup builds it,
+    and drops the memo, on its first miss after lookups have tokenized
+    `doc_count` bodies, so warm use pays at most about two full builds.
+    Only `ingest` reads `postings` itself; a cold `search` reaches the switch
+    only with a query of many tokens common in the bodies.
     """
 
     docs: dict[str, Document] = field(default_factory=dict)
@@ -96,11 +106,28 @@ class InvertedIndex:
 
     @cached_property
     def postings(self) -> dict[str, list[str]]:
+        vars(self).pop("_posting_memo", None)
+        vars(self).pop("_bodies_tokenized", None)
         postings: dict[str, list[str]] = {}
         for doc_id in sorted(self.docs):
             for token in set(tokenize(self.docs[doc_id].body)):
                 postings.setdefault(token, []).append(doc_id)
         return postings
+
+    def posting(self, token: str) -> list[str]:
+        """The ascending ids of the documents whose body has `token`: ``postings.get(token, [])``."""
+        state = vars(self)
+        if "postings" not in state:
+            memo = state.setdefault("_posting_memo", {})
+            tokenized = state.get("_bodies_tokenized", 0)
+            if token not in memo and tokenized < self.doc_count:
+                # Every token of a body is a substring of its lowered text, so this test only filters.
+                passed = [(doc_id, doc.body) for doc_id, doc in self.docs.items() if token in doc.body.lower()]
+                memo[token] = sorted(doc_id for doc_id, body in passed if token in tokenize(body))
+                state["_bodies_tokenized"] = tokenized + len(passed)
+            if token in memo:
+                return memo[token]
+        return self.postings.get(token, [])
 
 
 def _parse_record(obj, line_no: int) -> Document:
@@ -196,7 +223,7 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by `save_index`; its postings are derived on first read.
+    """Read an index written by `save_index`; its postings are derived when looked up.
 
     Raises DataError on a bad magic line, a bad doc_count, fewer or more
     records than it announces, ids not strictly ascending, or a malformed

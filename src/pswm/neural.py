@@ -129,8 +129,9 @@ def _backward(weights, aug, output, ea) -> list[np.ndarray]:
     for k in range(len(weights) - 1, -1, -1):
         ei = ea * y * (1.0 - y)
         ew[k] = aug[k][:, None] * ei
-        ea = weights[k][:-1] @ ei
-        y = aug[k][:-1]
+        if k:  # nothing reads the input layer's error/activity values
+            ea = weights[k][:-1] @ ei
+            y = aug[k][:-1]
     return ew
 
 

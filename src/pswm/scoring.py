@@ -11,11 +11,19 @@ in [0, 1] that together form the probability network's input vector:
 
 A tag is one whole lowercased string, so it counts only when it equals a query
 token: "semantic web" or "e-commerce" never matches, yet enlarges the union.
+
+`analyze` takes both candidates and syntactic scores from the index's
+per-token posting lists: a candidate's syntactic score is the number of
+distinct query tokens whose list holds it, over the number of distinct query
+tokens. These are the two integers `syntactic_score` divides, so the results
+are equal bit for bit, and no candidate body is tokenized again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .corpus import Document, InvertedIndex, MetaRecord
 from .query import QuerySyntaxTree, tokenize
@@ -64,15 +72,9 @@ def analyze(tree: QuerySyntaxTree, index: InvertedIndex) -> list[CandidateFeatur
     Zero-semantic candidates are kept; rejection is the probability stage's
     job, not this one's.
     """
-    found = set().union(*(index.postings.get(token, ()) for token in set(tree.leaves)))
-    out: list[CandidateFeatures] = []
-    for doc_id in sorted(found):
-        doc = index.docs[doc_id]
-        out.append(
-            CandidateFeatures(
-                doc_id=doc_id,
-                syntactic=syntactic_score(tree, doc),
-                semantic=semantic_score(tree, doc.meta),
-            )
-        )
-    return out
+    wanted = set(tree.leaves)
+    hits = Counter(chain.from_iterable(index.posting(token) for token in wanted))
+    return [
+        CandidateFeatures(doc_id, hits[doc_id] / len(wanted), semantic_score(tree, index.docs[doc_id].meta))
+        for doc_id in sorted(hits)
+    ]

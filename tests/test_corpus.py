@@ -212,15 +212,31 @@ class TestIndexPersistence:
         assert loaded.docs == fixture_index.docs
         assert loaded.postings == fixture_index.postings
 
-    def test_postings_built_only_when_read(self, fixture_index, fixture_judgments, tmp_path):
+    def test_cold_analyze_looks_up_only_its_tokens(self, fixture_index, fixture_judgments, tmp_path):
         path = tmp_path / "idx"
         save_index(fixture_index, path)
         loaded = load_index(path)
         judgments_to_examples(fixture_judgments, loaded)
         evaluate(init_weights([2, 4, 1], 0), fixture_judgments, loaded)
+        assert list(vars(loaded)) == ["docs"]
+        tree = build_syntax_tree("semantic web")
+        candidates = analyze(tree, loaded)
         assert "postings" not in vars(loaded)
-        analyze(build_syntax_tree("semantic web"), loaded)
-        assert vars(loaded)["postings"] == fixture_index.postings
+        built = load_index(path)
+        assert built.postings == fixture_index.postings
+        assert candidates == analyze(tree, built)
+
+    def test_lookups_build_postings_once_they_have_tokenized_doc_count_bodies(self):
+        index = build_index([Document(id="c", body="data"), Document(id="b", body="webs"),
+                             Document(id="a", body="web mining")])
+        assert index.posting("web") == ["a"]  # "webs" passes the substring filter: 2 bodies tokenized
+        assert index.posting("zzz") == []  # a miss below the doc count stays per-token
+        assert index.posting("data") == ["c"]  # 3 bodies, the doc count
+        assert index.posting("web") == ["a"]  # a memoised token is no miss
+        assert "postings" not in vars(index)
+        assert index.posting("mining") == ["a"]
+        assert list(vars(index)) == ["docs", "postings"]
+        assert index.posting("webs") == ["b"]
 
     def test_save_is_deterministic(self, fixture_index, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,9 @@
 """Fuzzing and properties.
 
 Every loader ends in a value or a DataError, a saved index loads back equal
-with the brute-force postings, `analyze` and `attach_probabilities` equal
-their per-document definitions, and the CLI never raises.
+with the brute-force postings and answers every token lookup with them,
+`analyze` and `attach_probabilities` equal their per-document definitions,
+and the CLI never raises.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from pswm import (
     CandidateFeatures,
     DataError,
     Document,
+    InvertedIndex,
     MetaRecord,
     Network,
     analyze,
@@ -173,17 +175,33 @@ def _brute_force_postings(docs: list[Document]) -> dict[str, list[str]]:
     return {t: [doc.id for doc in ordered if t in tokenize(doc.body)] for t in tokens}
 
 
+# Words whose lower() is longer (İ), depends on its neighbours (a final Σ), or changes under other case
+# mappings (ß, ﬁ), and words that hold other words as substrings: where filtering on the lowered body could err.
+_lookup_words = st.sampled_from(["web", "webs", "İ", "İstanbul", "i", "ß", "ss", "ΟΔΟΣ", "Σ", "σ", "ﬁle", "file"])
+_lookup_documents = st.lists(
+    st.builds(Document, id=_doc_text(3, min_size=1),
+              body=_doc_text(20) | st.lists(_lookup_words | _doc_text(3), max_size=5).map(" ".join)),
+    max_size=4, unique_by=lambda doc: doc.id,
+)
+
+
 def test_postings_equal_brute_force_when_built_and_when_loaded(scratch):
     path = scratch / "postings"
 
     @PROPERTY
-    @given(docs=_documents)
+    @given(docs=_lookup_documents)
     def check(docs):
         expected = _brute_force_postings(docs)
-        index = build_index(docs)
-        save_index(index, path)
-        assert index.postings == expected
-        assert load_index(path).postings == expected
+        # Every token, an absent one, and the strings that are substrings of a token but may be no token.
+        probes = [*expected, "qq", *{part for t in expected for part in (t[1:], t[:-1]) if part}]
+        save_index(build_index(docs), path)
+        for index in (build_index(docs), load_index(path)):
+            for token in probes:
+                # A first lookup always takes the per-token path; later ones reach the switch to `postings`.
+                assert InvertedIndex(index.docs).posting(token) == expected.get(token, [])
+                assert index.posting(token) == expected.get(token, [])
+            assert index.postings == expected
+            assert all(index.posting(token) == expected.get(token, []) for token in probes)
 
     check()
 
