@@ -16,7 +16,7 @@ import sys
 
 from . import corpus, neural, ranker, scoring, training
 from .errors import DataError
-from .query import build_syntax_tree
+from .query import build_syntax_tree, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,7 +70,8 @@ def cmd_ingest(args) -> int:
     docs = corpus.parse_corpus_file(args.corpus)
     index = corpus.build_index(docs)
     corpus.save_index(index, args.index)
-    print(f"ingested {index.doc_count} documents, {len(index.postings)} distinct tokens")
+    distinct = {token for doc in docs for token in tokenize(doc.body)}
+    print(f"ingested {index.doc_count} documents, {len(distinct)} distinct tokens")
     print(f"saved index -> {args.index}")
     return EXIT_OK
 

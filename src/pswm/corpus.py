@@ -94,8 +94,9 @@ class InvertedIndex:
     body token's list, built by tokenizing every body. A lookup builds it,
     and drops the memo, on its first miss after lookups have tokenized
     `doc_count` bodies, so warm use pays at most about two full builds.
-    Only `ingest` reads `postings` itself; a cold `search` reaches the switch
-    only with a query of many tokens common in the bodies.
+    No command reads `postings` itself (`ingest` counts distinct tokens with
+    `tokenize` alone); a cold `search` reaches the switch only with a query
+    of many tokens common in the bodies.
     """
 
     docs: dict[str, Document] = field(default_factory=dict)
@@ -200,6 +201,9 @@ def build_index(docs: list[Document]) -> InvertedIndex:
     return InvertedIndex(docs=doc_map)
 
 
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
 def _doc_to_json(doc: Document) -> str:
     payload = {
         "id": doc.id,
@@ -211,7 +215,7 @@ def _doc_to_json(doc: Document) -> str:
             "concepts": doc.meta.concepts,
         },
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _RECORD_ENCODER.encode(payload)
 
 
 def save_index(index: InvertedIndex, path) -> None:

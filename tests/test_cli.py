@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from pswm import DataError, cli, init_weights, load_index, load_model, save_model
+from pswm import DataError, build_index, cli, corpus, init_weights, load_index, load_model, save_model
 from pswm.neural import MODEL_MAGIC
 
 from conftest import CORPUS_PATH, JUDGMENTS_PATH
@@ -39,9 +39,21 @@ class TestIngest:
         code = cli.main(["ingest", "--corpus", str(CORPUS_PATH), "--index", str(index_path)])
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
-        assert "ingested 20 documents" in out
+        assert out.splitlines()[0] == "ingested 20 documents, 154 distinct tokens"
         assert f"saved index -> {index_path}" in out
         assert load_index(index_path).doc_count == 20
+
+    def test_counts_tokens_without_building_postings(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(docs):
+            built.append(build_index(docs))
+            return built[-1]
+
+        monkeypatch.setattr(corpus, "build_index", spy)
+        assert cli.main(["ingest", "--corpus", str(CORPUS_PATH), "--index", str(tmp_path / "idx")]) == cli.EXIT_OK
+        assert len(built) == 1
+        assert "postings" not in vars(built[0])
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = cli.main(["ingest", "--corpus", str(tmp_path / "nope"), "--index", str(tmp_path / "idx")])

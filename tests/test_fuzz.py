@@ -2,8 +2,9 @@
 
 Every loader ends in a value or a DataError, a saved index loads back equal
 with the brute-force postings and answers every token lookup with them,
-`analyze` and `attach_probabilities` equal their per-document definitions,
-and the CLI never raises.
+`ingest` prints the brute-force distinct-token count, `analyze` and
+`attach_probabilities` equal their per-document definitions, and the CLI
+never raises.
 """
 
 import contextlib
@@ -202,6 +203,23 @@ def test_postings_equal_brute_force_when_built_and_when_loaded(scratch):
                 assert index.posting(token) == expected.get(token, [])
             assert index.postings == expected
             assert all(index.posting(token) == expected.get(token, []) for token in probes)
+
+    check()
+
+
+def test_ingest_counts_the_brute_force_tokens(scratch):
+    corpus_path, index_path = scratch / "count_corpus", scratch / "count_idx"
+
+    @PROPERTY
+    @given(docs=_lookup_documents)
+    def check(docs):
+        corpus_path.write_text("".join(json.dumps({"id": d.id, "body": d.body}) + "\n" for d in docs), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)]) == 0
+        count = len(_brute_force_postings(docs))
+        assert out.getvalue().splitlines()[0] == f"ingested {len(docs)} documents, {count} distinct tokens"
+        assert len(load_index(index_path).postings) == count
 
     check()
 

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pswm import QuerySyntaxTree, build_syntax_tree, tokenize
+
+# Criterion 6's character-level definition: maximal runs of `isalnum` characters of the lowered text.
+from test_acceptance import naive_tokens
 
 
 class TestTokenize:
@@ -26,6 +31,8 @@ class TestTokenize:
 
     def test_unicode_letters(self):
         assert tokenize("Ünïcode søk") == ["ünïcode", "søk"]
+        # Non-ASCII that lowercases to ASCII: KELVIN SIGN to "k"; "İ" to "i" and a combining dot, a separator.
+        assert tokenize("\u212aelvin \u0130stanbul") == ["kelvin", "i", "stanbul"]
 
     def test_preserves_order_and_duplicates(self):
         assert tokenize("web web mining web") == ["web", "web", "mining", "web"]
@@ -42,6 +49,17 @@ class TestTokenize:
     def test_tokens_are_lowercase(self):
         for token in tokenize("MIXED Case ÉTÉ"):
             assert token == token.lower()
+
+    def test_every_ascii_character_matches_the_reference(self):
+        for ch in map(chr, range(128)):
+            # alone, between two letters, and at each end
+            for text in (ch, f"aB{ch}Cd", f"{ch}xY", f"Xy{ch}"):
+                assert tokenize(text) == naive_tokens(text), repr(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(st.characters(max_codepoint=127) | st.sampled_from("\u212a\u0130\u00df\u03a3\u00b2_")))
+    def test_equals_the_reference_on_mixed_text(self, text):
+        assert tokenize(text) == naive_tokens(text)
 
 
 class TestBuildSyntaxTree:
