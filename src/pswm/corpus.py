@@ -11,10 +11,10 @@ Corpus files are UTF-8 with one JSON record per line:
 Index files (format v2) are UTF-8 text. Line 1 is the magic
 ``PSWM-INDEX v2``, line 2 is ``{"doc_count": N}`` (so truncation shows),
 then exactly N document records, one per line, in strictly ascending id
-order. Postings are not stored: an index derives each posting list from the
-bodies when a lookup first asks for it, and the full postings only once
-lookups have tokenized as many bodies as the index holds. An older
-``PSWM-INDEX v1`` file is rejected: re-ingest its corpus.
+order. Postings are not stored: an index derives a posting list from the
+bodies on each lookup, and the full postings once lookups have tokenized as
+many bodies as the index holds. An older ``PSWM-INDEX v1`` file is
+rejected: re-ingest its corpus.
 """
 
 from __future__ import annotations
@@ -83,20 +83,21 @@ class Document:
 class InvertedIndex:
     """Immutable-by-convention token index over a document set.
 
-    `docs` maps ids to documents and is the index's only field; everything
-    else is derived from it on demand and cached, so it cannot disagree with
-    `docs` unless `docs` is changed after a read. Only `docs` is saved
-    (index format v2).
+    `docs` maps ids to documents and is the index's only field; postings
+    are derived from it on demand, so they cannot disagree with `docs`
+    unless `docs` is changed after a read. Only `docs` is saved (index
+    format v2).
 
     `posting(token)` gives one token's ascending id list. Until the full
-    view exists it tokenizes only the bodies that contain the token as a
-    substring, and memoises the list. `postings` is the full view: every
-    body token's list, built by tokenizing every body. A lookup builds it,
-    and drops the memo, on its first miss after lookups have tokenized
-    `doc_count` bodies, so warm use pays at most about two full builds.
-    No command reads `postings` itself (`ingest` counts distinct tokens with
-    `tokenize` alone); a cold `search` reaches the switch only with a query
-    of many tokens common in the bodies.
+    view exists, each lookup lowercases every body, tokenizes those that
+    contain the token as a substring, and adds their number to a count.
+    `postings` is the full view, built by tokenizing every body; a lookup
+    builds it once the count has reached `doc_count`. One lookup may pass
+    every body, so lookups tokenize at most ``2 * doc_count - 1`` bodies
+    before the build tokenizes `doc_count` more. No command reads
+    `postings` itself (`ingest` counts distinct tokens with `tokenize`
+    alone); a cold `search` reaches the switch only with a query of many
+    tokens common in the bodies.
     """
 
     docs: dict[str, Document] = field(default_factory=dict)
@@ -107,8 +108,6 @@ class InvertedIndex:
 
     @cached_property
     def postings(self) -> dict[str, list[str]]:
-        vars(self).pop("_posting_memo", None)
-        vars(self).pop("_bodies_tokenized", None)
         postings: dict[str, list[str]] = {}
         for doc_id in sorted(self.docs):
             for token in set(tokenize(self.docs[doc_id].body)):
@@ -117,18 +116,13 @@ class InvertedIndex:
 
     def posting(self, token: str) -> list[str]:
         """The ascending ids of the documents whose body has `token`: ``postings.get(token, [])``."""
-        state = vars(self)
-        if "postings" not in state:
-            memo = state.setdefault("_posting_memo", {})
-            tokenized = state.get("_bodies_tokenized", 0)
-            if token not in memo and tokenized < self.doc_count:
-                # Every token of a body is a substring of its lowered text, so this test only filters.
-                passed = [(doc_id, doc.body) for doc_id, doc in self.docs.items() if token in doc.body.lower()]
-                memo[token] = sorted(doc_id for doc_id, body in passed if token in tokenize(body))
-                state["_bodies_tokenized"] = tokenized + len(passed)
-            if token in memo:
-                return memo[token]
-        return self.postings.get(token, [])
+        tokenized = vars(self).get("_bodies_tokenized", 0)
+        if "postings" in vars(self) or tokenized >= self.doc_count:
+            return self.postings.get(token, [])
+        # Every token of a body is a substring of its lowered text, so this test only filters.
+        passed = [doc_id for doc_id, doc in self.docs.items() if token in doc.body.lower()]
+        vars(self)["_bodies_tokenized"] = tokenized + len(passed)
+        return sorted(doc_id for doc_id in passed if token in tokenize(self.docs[doc_id].body))
 
 
 def _parse_record(obj, line_no: int) -> Document:
@@ -190,8 +184,8 @@ def parse_corpus_file(path) -> list[Document]:
 def build_index(docs: list[Document]) -> InvertedIndex:
     """Build the inverted index over `docs`.
 
-    Deterministic regardless of input order: posting lists are sorted by
-    doc id. Raises ValueError on duplicate ids.
+    Maps each id to its document; postings are derived on lookup (see
+    `InvertedIndex`). Raises ValueError on a duplicate id.
     """
     doc_map: dict[str, Document] = {}
     for doc in docs:

@@ -229,13 +229,13 @@ class TestIndexPersistence:
     def test_lookups_build_postings_once_they_have_tokenized_doc_count_bodies(self):
         index = build_index([Document(id="c", body="data"), Document(id="b", body="webs"),
                              Document(id="a", body="web mining")])
-        assert index.posting("web") == ["a"]  # "webs" passes the substring filter: 2 bodies tokenized
-        assert index.posting("zzz") == []  # a miss below the doc count stays per-token
-        assert index.posting("data") == ["c"]  # 3 bodies, the doc count
-        assert index.posting("web") == ["a"]  # a memoised token is no miss
+        assert index.posting("zzz") == []  # no body passes the substring filter: 0 bodies tokenized
+        assert index.posting("web") == ["a"]  # "webs" passes the filter too: 2 bodies tokenized
+        assert index.posting("web") == ["a"]  # a repeat below the doc count is derived again: 4 bodies
+        assert vars(index)["_bodies_tokenized"] == 4
         assert "postings" not in vars(index)
-        assert index.posting("mining") == ["a"]
-        assert list(vars(index)) == ["docs", "postings"]
+        assert index.posting("mining") == ["a"]  # 4 bodies reach the doc count, 3: this lookup builds
+        assert list(vars(index)) == ["docs", "_bodies_tokenized", "postings"]
         assert index.posting("webs") == ["b"]
 
     def test_save_is_deterministic(self, fixture_index, tmp_path):

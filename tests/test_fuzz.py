@@ -2,6 +2,7 @@
 
 Every loader ends in a value or a DataError, a saved index loads back equal
 with the brute-force postings and answers every token lookup with them,
+lookups tokenize fewer than twice the doc count before the full build,
 `ingest` prints the brute-force distinct-token count, `analyze` and
 `attach_probabilities` equal their per-document definitions, and the CLI
 never raises.
@@ -32,6 +33,7 @@ from pswm import (
     build_index,
     build_syntax_tree,
     cli,
+    corpus,
     forward,
     load_index,
     load_model,
@@ -198,11 +200,35 @@ def test_postings_equal_brute_force_when_built_and_when_loaded(scratch):
         save_index(build_index(docs), path)
         for index in (build_index(docs), load_index(path)):
             for token in probes:
-                # A first lookup always takes the per-token path; later ones reach the switch to `postings`.
-                assert InvertedIndex(index.docs).posting(token) == expected.get(token, [])
+                # A first lookup on a nonempty index, and often its repeat, take the per-token path;
+                # later ones reach the switch to `postings`.
+                fresh = InvertedIndex(index.docs)
+                assert fresh.posting(token) == fresh.posting(token) == expected.get(token, [])
                 assert index.posting(token) == expected.get(token, [])
             assert index.postings == expected
             assert all(index.posting(token) == expected.get(token, []) for token in probes)
+
+    check()
+
+
+def test_lookups_tokenize_under_twice_the_doc_count_before_the_build(monkeypatch):
+    calls: list[str] = []
+    monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or tokenize(text))
+
+    @PROPERTY
+    @given(docs=_lookup_documents, lookups=st.lists(_lookup_words | _doc_text(3), max_size=12))
+    def check(docs, lookups):
+        index = build_index(docs)
+        calls.clear()
+        for token in lookups:
+            before = len(calls)
+            index.posting(token)
+            if "postings" in vars(index):
+                assert len(calls) - before == len(docs)  # the build tokenizes each body once
+                del calls[before:]
+                break
+        # The bodies lookups tokenized before the full view existed.
+        assert len(calls) < 2 * len(docs) if docs else not calls
 
     check()
 
