@@ -20,6 +20,7 @@ rejected: re-ingest its corpus.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from .query import tokenize
 
 INDEX_MAGIC = "PSWM-INDEX v2"
 _INDEX_MAGIC_V1 = "PSWM-INDEX v1"
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass
@@ -125,7 +127,8 @@ class InvertedIndex:
         return sorted(doc_id for doc_id in passed if token in tokenize(self.docs[doc_id].body))
 
 
-def _parse_record(obj, line_no: int) -> Document:
+def _parse_record(line: str, line_no: int) -> Document:
+    obj = _json_line(line, line_no)
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: record is not a JSON object")
     doc_id = obj.get("id")
@@ -151,6 +154,12 @@ def _parse_record(obj, line_no: int) -> Document:
         meta = MetaRecord.from_raw(keywords, concepts)
     except ValueError as exc:
         raise DataError(f"line {line_no}: {exc}") from exc
+    # No UTF-8 writer can encode a lone surrogate. The line was decoded as strict UTF-8,
+    # so only a \u escape can have put one in a string: a line without a backslash has none.
+    if "\\" in line:
+        for text in (doc_id, body, url, title, *meta.keywords, *meta.concepts):
+            if not text.isascii() and (surrogate := _LONE_SURROGATE.search(text)):
+                raise DataError(f"line {line_no}: string holds a lone surrogate {surrogate.group()!r}")
     return Document(id=doc_id, url=url, title=title, body=body, meta=meta)
 
 
@@ -173,7 +182,7 @@ def parse_corpus_file(path) -> list[Document]:
     for line_no, line in enumerate(read_lines(path, "corpus"), start=1):
         if not line.strip():
             continue
-        doc = _parse_record(_json_line(line, line_no), line_no)
+        doc = _parse_record(line, line_no)
         if doc.id in seen:
             raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
         seen.add(doc.id)
@@ -248,7 +257,7 @@ def load_index(path) -> InvertedIndex:
     docs: dict[str, Document] = {}
     last_id = None
     for line_no, line in enumerate(records[:doc_count], start=3):
-        doc = _parse_record(_json_line(line, line_no), line_no)
+        doc = _parse_record(line, line_no)
         if last_id is not None and doc.id <= last_id:
             raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
         docs[doc.id] = doc

@@ -21,14 +21,29 @@ Thresholds are realized as bias units: every non-output layer carries one
 extra unit with constant activity 1.0, so each weight matrix has one more
 source row (the bias row, stored last) than the layer has units.
 
-Training checks its whole example list once, then runs an unchecked kernel
-(`_step`) over preallocated buffers: one augmented buffer per non-output
-layer, its last entry the bias unit fixed at 1.0. The public `forward`,
-`error` and `backprop` validate their arguments and then call the same
-private functions the kernel calls, so each arithmetic step is written
-once and training gives the same bits either way. Each product
-stays a vector times a matrix, one example at a time: summing in another
-order (batching examples, say) would change the trained weights' last bits.
+All arithmetic runs on plain Python floats in one kernel (`_forward`,
+`_backward`, `_step`), which `train`, `forward`, `backprop` and `error`
+share, and `gradient_check` through them; so each arithmetic step is
+written once and training gives the same bits as the public functions
+called in turn. The kernel holds a layer as one list per target unit of
+its incoming weights, bias last (`_layers`). `train` checks its whole
+example list once, converts ``net.weights`` once and writes the kernel's
+weights back into those arrays after every epoch; the public functions
+convert on every call. The code alone fixes the bits, not the BLAS or SIMD
+routines a CPU selects at runtime:
+
+  - Every sum runs left to right in an explicit loop from 0.0: a unit's
+    total input adds its sources in order and its bias last, a source's
+    error/activity adds the next layer's units in order, and the error
+    adds the outputs in order. Not `sum()`: from Python 3.12 it
+    compensates float sums, so the last bits would depend on the
+    interpreter.
+  - The exponential is the C library's ``exp``, through `math.exp`.
+  - The sigmoid saturates explicitly, without a warning: where e^-x
+    overflows (`math.exp` raises OverflowError) it is 0.0, and where e^-x
+    underflows to 0.0 it is 1.0, the values numpy reaches through inf.
+  - Training takes one example at a time: summing in another order
+    (batching examples, say) would change the trained weights' last bits.
 
 Model files are UTF-8 text. Line 1 is the magic ``PSWM-MODEL v1``, line 2
 the space-separated layer sizes, then one line per weight-matrix row
@@ -38,6 +53,7 @@ written with ``repr`` so the file parses back to bit-identical doubles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,53 +115,75 @@ class TrainingExample:
     desired: list[float]
 
 
-def _augmented(layer_sizes) -> list[np.ndarray]:
-    """One buffer per non-output layer: its activities, then the bias unit fixed at 1.0."""
-    buffers = [np.empty(n + 1) for n in layer_sizes[:-1]]
-    for buf in buffers:
-        buf[-1] = 1.0
-    return buffers
+def _layers(weights) -> list[list[list[float]]]:
+    """The kernel's copy of `weights`: per layer, each target unit's incoming weights, bias last."""
+    return [w.T.tolist() for w in weights]
 
 
-def _forward(weights, aug) -> np.ndarray:
-    """Forward pass from the inputs in ``aug[0]``: fills every hidden buffer, returns the output activities."""
-    for w, src, dst in zip(weights, aug, aug[1:]):
-        dst[:-1] = sigmoid(src @ w)
-    return sigmoid(aug[-1] @ weights[-1])
+def _squash(x: float) -> float:
+    """The sigmoid of one float: 0.0 where e^-x overflows, 1.0 where it underflows to 0.0."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
-def _half_square(diff) -> float:
+def _forward(layers, inputs: list[float]) -> list[list[float]]:
+    """Forward pass; returns the activities of every layer, `inputs` first."""
+    acts = [inputs]
+    for units in layers:
+        src = acts[-1]
+        out = []
+        for w in units:
+            total = 0.0
+            for a, wi in zip(src, w):  # stops at the bias, the last weight
+                total += a * wi
+            out.append(_squash(total + w[-1]))
+        acts.append(out)
+    return acts
+
+
+def _half_square(diff: list[float]) -> float:
     """The error of an output whose difference from the desired vector is `diff`."""
-    return 0.5 * float((diff ** 2).sum())
+    total = 0.0
+    for d in diff:
+        total += d * d
+    return 0.5 * total
 
 
-def _backward(weights, aug, output, ea) -> list[np.ndarray]:
-    """Backward pass over a forward pass held in ``aug`` and ``output``, ``ea`` being output minus desired.
+def _backward(layers, acts, ea: list[float]) -> list[list[float]]:
+    """Backward pass over the forward pass `acts`, `ea` being output minus desired.
 
-    Returns one derivative matrix per weight matrix.
+    Returns the ei values of every layer but the input layer: entry k
+    belongs to the target units of weight layer k, so ``acts[k][i] *
+    ei[k][j]`` is the ew of that layer's weight from source i to target j,
+    and ``ei[k][j]`` itself the ew of target j's bias weight.
     """
-    ew = [ea] * len(weights)
-    y = output
-    for k in range(len(weights) - 1, -1, -1):
-        ei = ea * y * (1.0 - y)
-        ew[k] = aug[k][:, None] * ei
+    eis = [ea] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        ei = [e * y * (1.0 - y) for e, y in zip(ea, acts[k + 1])]
+        eis[k] = ei
         if k:  # nothing reads the input layer's error/activity values
-            ea = weights[k][:-1] @ ei
-            y = aug[k][:-1]
-    return ew
+            ea = [0.0] * len(acts[k])
+            for w, e in zip(layers[k], ei):  # adds each source's terms in target-unit order
+                ea = [total + wi * e for total, wi in zip(ea, w)]
+    return eis
 
 
-def _step(weights, aug, desired, learning_rate) -> float:
-    """One unchecked online step on the inputs in ``aug[0]``; returns the example's pre-update error.
+def _step(layers, inputs: list[float], desired: list[float], learning_rate: float) -> float:
+    """One unchecked online step; returns the example's pre-update error.
 
     Every derivative comes from the pre-update weights, as in `backprop`
     followed by one descent step.
     """
-    output = _forward(weights, aug)
-    ea_out = output - desired
-    for w, g in zip(weights, _backward(weights, aug, output, ea_out)):
-        w -= learning_rate * g
-    return _half_square(ea_out)
+    acts = _forward(layers, inputs)
+    ea = [y - d for y, d in zip(acts[-1], desired)]
+    for units, src, ei in zip(layers, acts, _backward(layers, acts, ea)):
+        for w, e in zip(units, ei):
+            for i, a in enumerate(src):
+                w[i] -= learning_rate * (a * e)
+            w[-1] -= learning_rate * e
+    return _half_square(ea)
 
 
 def forward(net: Network, features) -> list[np.ndarray]:
@@ -158,10 +196,8 @@ def forward(net: Network, features) -> list[np.ndarray]:
     y = np.asarray(features, dtype=float)
     if y.shape != (net.layer_sizes[0],):
         raise ValueError(f"input length {y.shape} does not match input layer size {net.layer_sizes[0]}")
-    aug = _augmented(net.layer_sizes)
-    aug[0][:-1] = y
-    output = _forward(net.weights, aug)
-    return [y] + [buf[:-1] for buf in aug[1:]] + [output]
+    acts = _forward(_layers(net.weights), y.tolist())
+    return [y] + [np.array(a) for a in acts[1:]]
 
 
 def error(output, desired) -> float:
@@ -170,7 +206,7 @@ def error(output, desired) -> float:
     d = np.asarray(desired, dtype=float)
     if y.shape != d.shape:
         raise ValueError(f"output shape {y.shape} does not match desired shape {d.shape}")
-    return _half_square(y - d)
+    return _half_square((y - d).ravel().tolist())
 
 
 def backprop(net: Network, activations, desired) -> list[np.ndarray]:
@@ -191,8 +227,9 @@ def backprop(net: Network, activations, desired) -> list[np.ndarray]:
     d = np.asarray(desired, dtype=float)
     if d.shape != acts[-1].shape:
         raise ValueError(f"desired shape {d.shape} does not match output shape {acts[-1].shape}")
-    aug = [np.append(a, 1.0) for a in acts[:-1]]
-    return _backward(net.weights, aug, acts[-1], acts[-1] - d)
+    srcs = [a.tolist() for a in acts]
+    eis = _backward(_layers(net.weights), srcs, (acts[-1] - d).tolist())
+    return [np.array([[a * e for a in src] + [e] for e in ei]).T for src, ei in zip(srcs, eis)]
 
 
 def _example_arrays(net: Network, data: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
@@ -236,22 +273,19 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
         raise ValueError("cannot train on an empty example list")
     if learning_rate <= 0.0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    features, desired = _example_arrays(net, data)
-    weights = net.weights
-    aug = _augmented(net.layer_sizes)
-    inputs = aug[0][:-1]
+    features, desired = (a.tolist() for a in _example_arrays(net, data))
+    layers = _layers(net.weights)
     rng = np.random.default_rng(seed)
     trace: list[float] = []
-    with np.errstate(over="ignore"):
-        for epoch in range(1, epochs + 1):
-            order = rng.permutation(len(data))
-            total = 0.0
-            for i in order:
-                inputs[:] = features[i]
-                total += _step(weights, aug, desired[i], learning_rate)
-            if not all(np.all(np.isfinite(w)) for w in weights):
-                raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
-            trace.append(total / len(data))
+    for epoch in range(1, epochs + 1):
+        total = 0.0
+        for i in rng.permutation(len(data)).tolist():
+            total += _step(layers, features[i], desired[i], learning_rate)
+        for w, units in zip(net.weights, layers):
+            w[...] = np.array(units).T
+        if not all(np.all(np.isfinite(w)) for w in net.weights):
+            raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
+        trace.append(total / len(data))
     return net, trace
 
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .neural import Network, forward
 from .scoring import CandidateFeatures
 
 DEFAULT_CUTOFF = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedResult(CandidateFeatures):
     probability: float
 
@@ -46,11 +44,9 @@ def attach_probabilities(candidates: list[CandidateFeatures], net: Network) -> l
     """
     check_ranking_shape(net)
     ranked: list[RankedResult] = []
-    # Huge finite weights overflow exp in the sigmoid, which saturates correctly.
-    with np.errstate(over="ignore"):
-        for cand in candidates:
-            probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
-            ranked.append(RankedResult(cand.doc_id, cand.syntactic, cand.semantic, probability))
+    for cand in candidates:
+        probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
+        ranked.append(RankedResult(cand.doc_id, cand.syntactic, cand.semantic, probability))
     return ranked
 
 

@@ -32,7 +32,7 @@ from .query import QuerySyntaxTree, tokenize
 CONCEPT_WEIGHT_THRESHOLD = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateFeatures:
     doc_id: str
     syntactic: float
@@ -72,7 +72,7 @@ def analyze(tree: QuerySyntaxTree, index: InvertedIndex) -> list[CandidateFeatur
     Zero-semantic candidates are kept; rejection is the probability stage's
     job, not this one's.
     """
-    wanted = set(tree.leaves)
+    wanted = dict.fromkeys(tree.leaves)  # first-occurrence order: the same lookups under any hash seed
     hits = Counter(chain.from_iterable(index.posting(token) for token in wanted))
     return [
         CandidateFeatures(doc_id, hits[doc_id] / len(wanted), semantic_score(tree, index.docs[doc_id].meta))

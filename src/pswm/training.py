@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corpus import InvertedIndex
 from .errors import DataError
 from .fileio import read_lines
@@ -88,14 +86,12 @@ def evaluate(net: Network, judgments: list[Judgment], index: InvertedIndex) -> d
     examples = judgments_to_examples(judgments, index)
     total_error = 0.0
     correct = 0
-    # Huge finite weights overflow exp in the sigmoid, which saturates correctly.
-    with np.errstate(over="ignore"):
-        for example in examples:
-            output = forward(net, example.features)[-1]
-            total_error += error(output, example.desired)
-            predicted_relevant = float(output[0]) >= ACCURACY_THRESHOLD
-            if predicted_relevant == (example.desired[0] >= ACCURACY_THRESHOLD):
-                correct += 1
+    for example in examples:
+        output = forward(net, example.features)[-1]
+        total_error += error(output, example.desired)
+        predicted_relevant = float(output[0]) >= ACCURACY_THRESHOLD
+        if predicted_relevant == (example.desired[0] >= ACCURACY_THRESHOLD):
+            correct += 1
     return {
         "count": len(examples),
         "mean_error": total_error / len(examples),

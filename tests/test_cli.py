@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, output, exit codes."""
 
+import hashlib
 import json
 import warnings
 
@@ -100,6 +101,22 @@ class TestIngest:
         assert ".tmp" not in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_directory"]
 
+    @pytest.mark.parametrize("line", [
+        '{"id": "a", "body": "web \\ud800 mining"}',
+        '{"id": "a\\udfff", "body": "web"}',
+        '{"id": "a", "body": "web", "url": "\\ud800"}',
+        '{"id": "a", "body": "web", "title": "x\\udc00"}',
+        '{"id": "a", "body": "web", "meta": {"keywords": ["\\ud800web"]}}',
+        '{"id": "a", "body": "web", "meta": {"concepts": {"web\\ud800": 0.1}}}',
+    ], ids=["body", "id", "url", "title", "keyword", "concept-tag"])
+    def test_lone_surrogate_is_data_error_and_writes_no_index(self, tmp_path, capsys, line):
+        bad = tmp_path / "c.jsonl"
+        bad.write_text("\n".join(['{"id": "ok", "body": "web \\ud83d\\ude00"}', line]) + "\n", encoding="utf-8")
+        code = cli.main(["ingest", "--corpus", str(bad), "--index", str(tmp_path / "idx")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: line 2: string holds a lone surrogate")
+        assert not (tmp_path / "idx").exists()
+
     def test_unicode_line_separator_in_body_survives_train_and_search(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{"id": "a", "body": "semantic web\\u2028mining"}\n', encoding="utf-8")
@@ -144,6 +161,16 @@ class TestTrain:
         assert f"saved model -> {model_path}" in out
         net = load_model(model_path)
         assert net.layer_sizes == [2, cli.DEFAULT_HIDDEN, 1]
+
+    def test_default_fixture_model_matches_golden_hash(self, tmp_path, ingested):
+        # The model's bits follow from the kernel's arithmetic and the C library's exp
+        # (see `pswm.neural`). Checked on x86-64, glibc, Python 3.11.
+        model_path = tmp_path / "model"
+        code = cli.main(["train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+                         "--model", str(model_path)])
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(model_path.read_bytes()).hexdigest() == (
+            "6f7e92cf89a27ab4dadbb6ca2476b0d43eabab82ba42c82c8384dc733c445656")
 
     def test_hidden_flag_changes_architecture(self, tmp_path, ingested):
         model_path = tmp_path / "model"

@@ -326,6 +326,12 @@ class TestIndexPersistence:
         with pytest.raises(DataError, match="line 4.*body"):
             load_index(path)
 
+    def test_lone_surrogate_in_record_names_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:2], lines[2].replace('"id":"a"', '"id":"a\\ud800"'), lines[3]])
+        with pytest.raises(DataError, match="line 3: string holds a lone surrogate"):
+            load_index(path)
+
     def test_deeply_nested_record_is_data_error(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a")
         self.write_lines(path, [*lines[:2], "[" * 100_000 + "]" * 100_000])

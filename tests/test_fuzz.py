@@ -11,6 +11,7 @@ never raises.
 import contextlib
 import io
 import json
+import os
 import shutil
 import tempfile
 import warnings
@@ -375,6 +376,12 @@ def test_main_returns_an_exit_code_and_never_raises(inputs, argv):
         work = Path(tmp) / "work"
         shutil.copytree(inputs, work)
         args = [str(work / a) if a in _FILES else a for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(args)
+        # Stray arguments can name a relative output path, such as `--index x`.
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(args)
+        finally:
+            os.chdir(cwd)
     assert isinstance(code, int)

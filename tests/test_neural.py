@@ -124,6 +124,15 @@ class TestForward:
         for layer in acts[1:]:
             assert np.all(layer > 0.0) and np.all(layer < 1.0)
 
+    @pytest.mark.parametrize("big, expected", [(1e300, 1.0), (-1e300, 0.0)])
+    def test_huge_weights_saturate_exactly_without_warnings(self, big, expected):
+        # Every total input is about +-1e300: e^-x underflows to 0.0 or overflows.
+        net = Network([2, 3, 1], [np.full((3, 3), big), np.full((4, 1), big)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acts = forward(net, [0.5, 0.25])
+        assert [list(a) for a in acts[1:]] == [[expected] * 3, [expected]]
+
     def test_input_size_mismatch(self):
         net = init_weights([2, 1], 0)
         with pytest.raises(ValueError, match="input layer size"):

@@ -24,6 +24,12 @@ def make_results(pairs):
     return [RankedResult(doc_id=d, syntactic=0.0, semantic=0.0, probability=p) for d, p in pairs]
 
 
+def test_candidates_and_results_carry_no_instance_dict():
+    # One is built per candidate of every query; slots keep them small.
+    for obj in (CandidateFeatures("a", 0.25, 0.75), RankedResult("a", 0.25, 0.75, 0.5)):
+        assert not hasattr(obj, "__dict__")
+
+
 class TestAttachProbabilities:
     def test_probability_is_network_output(self):
         net = init_weights([2, 3, 1], 17)

@@ -5,6 +5,7 @@ import pytest
 from pswm import (
     CandidateFeatures,
     Document,
+    InvertedIndex,
     MetaRecord,
     QuerySyntaxTree,
     analyze,
@@ -138,6 +139,18 @@ class TestAnalyze:
         )
         tree = build_syntax_tree("common")
         assert analyze(tree, index) == [CandidateFeatures(f"d{i}", 1.0, 0.0) for i in range(5)]
+
+    def test_looks_tokens_up_once_in_first_occurrence_order(self, monkeypatch):
+        index = build_index([Document(id="a", body="alpha beta"), Document(id="b", body="gamma")])
+        looked_up = []
+
+        def spy(token):
+            looked_up.append(token)
+            return InvertedIndex.posting(index, token)
+
+        monkeypatch.setattr(index, "posting", spy)
+        analyze(build_syntax_tree("web zeta alpha web mining gamma beta zeta delta omega"), index)
+        assert looked_up == ["web", "zeta", "alpha", "mining", "gamma", "beta", "delta", "omega"]
 
     def test_ascending_doc_id_order(self, fixture_index):
         tree = build_syntax_tree("web network index data")
