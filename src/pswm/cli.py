@@ -70,7 +70,10 @@ def cmd_ingest(args) -> int:
     docs = corpus.parse_corpus_file(args.corpus)
     index = corpus.build_index(docs)
     corpus.save_index(index, args.index)
-    distinct = {token for doc in docs for token in tokenize(doc.body)}
+    # One tokenize per 512 bodies joined by a space, which no token spans; the chunks bound the token lists.
+    distinct: set[str] = set()
+    for start in range(0, len(docs), 512):
+        distinct.update(tokenize(" ".join(doc.body for doc in docs[start:start + 512])))
     print(f"ingested {index.doc_count} documents, {len(distinct)} distinct tokens")
     print(f"saved index -> {args.index}")
     return EXIT_OK

@@ -8,13 +8,19 @@ Corpus files are UTF-8 with one JSON record per line:
 
 `id` and `body` are required; `url`, `title`, and `meta` are optional.
 
-Index files (format v2) are UTF-8 text. Line 1 is the magic
-``PSWM-INDEX v2``, line 2 is ``{"doc_count": N}`` (so truncation shows),
+Index files (format v3) are UTF-8 text. Line 1 is the magic
+``PSWM-INDEX v3``, line 2 is ``{"doc_count": N}`` (so truncation shows),
 then exactly N document records, one per line, in strictly ascending id
-order. Postings are not stored: an index derives a posting list from the
-bodies on each lookup, and the full postings once lookups have tokenized as
-many bodies as the index holds. An older ``PSWM-INDEX v1`` file is
-rejected: re-ingest its corpus.
+order. A record is a positional JSON array, without key names:
+
+    ["d1", "http://...", "...", "plain text ...", ["mining", "web"], {"search": 0.8}]
+
+that is ``[id, url, title, body, keywords, concepts]``, keywords sorted.
+Corpus and index records pass the same field checks. Postings are not
+stored: an index derives a posting list from the bodies on each lookup, and
+the full postings once lookups have tokenized as many bodies as the index
+holds. An older ``PSWM-INDEX v1`` or ``v2`` file is rejected: re-ingest its
+corpus.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .errors import DataError
 from .fileio import read_lines, write_text_atomic
 from .query import tokenize
 
-INDEX_MAGIC = "PSWM-INDEX v2"
-_INDEX_MAGIC_V1 = "PSWM-INDEX v1"
+INDEX_MAGIC = "PSWM-INDEX v3"
+_OLD_INDEX_MAGICS = ("PSWM-INDEX v1", "PSWM-INDEX v2")
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -57,16 +63,18 @@ class MetaRecord:
                 norm_kw.add(kw)
         norm_concepts: dict[str, float] = {}
         for tag, weight in concepts.items():
-            if not isinstance(tag, str):
-                raise ValueError(f"concept tag is not a string: {tag!r}")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise ValueError(f"concept weight for {tag!r} is not a number: {weight!r}")
-            if not 0 <= weight <= 1:  # before float(): an int may exceed the float range
-                raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
-            w = float(weight)
+            # A str tag with a float weight in [0, 1], the usual case, needs no further check or conversion.
+            if type(weight) is not float or type(tag) is not str or not 0.0 <= weight <= 1.0:
+                if not isinstance(tag, str):
+                    raise ValueError(f"concept tag is not a string: {tag!r}")
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise ValueError(f"concept weight for {tag!r} is not a number: {weight!r}")
+                if not 0 <= weight <= 1:  # before float(): an int may exceed the float range
+                    raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
+                weight = float(weight)
             tag = tag.strip().lower()
             if tag:
-                norm_concepts[tag] = w
+                norm_concepts[tag] = weight
         return cls(keywords=norm_kw, concepts=norm_concepts)
 
 
@@ -88,7 +96,7 @@ class InvertedIndex:
     `docs` maps ids to documents and is the index's only field; postings
     are derived from it on demand, so they cannot disagree with `docs`
     unless `docs` is changed after a read. Only `docs` is saved (index
-    format v2).
+    format v3).
 
     `posting(token)` gives one token's ascending id list. Until the full
     view exists, each lookup lowercases every body, tokenizes those that
@@ -128,24 +136,33 @@ class InvertedIndex:
 
 
 def _parse_record(line: str, line_no: int) -> Document:
+    """One corpus line, a JSON object, as a Document; DataError naming the line if it is invalid."""
     obj = _json_line(line, line_no)
     if not isinstance(obj, dict):
         raise DataError(f"line {line_no}: record is not a JSON object")
-    doc_id = obj.get("id")
-    if not isinstance(doc_id, str) or not doc_id:
-        raise DataError(f"line {line_no}: missing or empty 'id'")
-    body = obj.get("body")
-    if not isinstance(body, str):
-        raise DataError(f"line {line_no}: missing 'body' string")
-    url = obj.get("url", "")
-    title = obj.get("title", "")
-    if not isinstance(url, str) or not isinstance(title, str):
-        raise DataError(f"line {line_no}: 'url' and 'title' must be strings")
     raw_meta = obj.get("meta", {})
     if not isinstance(raw_meta, dict):
         raise DataError(f"line {line_no}: 'meta' must be an object")
-    keywords = raw_meta.get("keywords", [])
-    concepts = raw_meta.get("concepts", {})
+    return _document(line, line_no, obj.get("id"), obj.get("url", ""), obj.get("title", ""), obj.get("body"),
+                     raw_meta.get("keywords", []), raw_meta.get("concepts", {}))
+
+
+def _parse_index_record(line: str, line_no: int) -> Document:
+    """One index line, ``[id, url, title, body, keywords, concepts]``, as a Document; DataError naming the line."""
+    fields = _json_line(line, line_no)
+    if not isinstance(fields, list) or len(fields) != 6:
+        raise DataError(f"line {line_no}: record is not an array [id, url, title, body, keywords, concepts]")
+    return _document(line, line_no, *fields)
+
+
+def _document(line: str, line_no: int, doc_id, url, title, body, keywords, concepts) -> Document:
+    """The checks corpus and index records share: field types, tags, weights and lone surrogates."""
+    if not isinstance(doc_id, str) or not doc_id:
+        raise DataError(f"line {line_no}: missing or empty 'id'")
+    if not isinstance(body, str):
+        raise DataError(f"line {line_no}: missing 'body' string")
+    if not isinstance(url, str) or not isinstance(title, str):
+        raise DataError(f"line {line_no}: 'url' and 'title' must be strings")
     if not isinstance(keywords, list) or not isinstance(concepts, dict):
         raise DataError(
             f"line {line_no}: 'meta.keywords' must be an array and 'meta.concepts' an object"
@@ -163,8 +180,22 @@ def _parse_record(line: str, line_no: int) -> Document:
     return Document(id=doc_id, url=url, title=title, body=body, meta=meta)
 
 
+_SCAN = json.JSONDecoder().scan_once
+
+
 def _json_line(line: str, line_no: int):
-    """Decode one JSON record line; DataError naming the line if it is malformed, too deep or has an over-long int."""
+    """Decode one JSON record line; DataError naming the line if it is malformed, too deep or has an over-long int.
+
+    One scan decodes a line that is a single JSON value with no surrounding
+    whitespace; any other line, and any line the scan rejects, goes to
+    `json.loads`, so values and error messages are those of `json.loads`.
+    """
+    try:
+        value, end = _SCAN(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(line)
     except (ValueError, RecursionError) as exc:
@@ -207,25 +238,14 @@ def build_index(docs: list[Document]) -> InvertedIndex:
 _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def _doc_to_json(doc: Document) -> str:
-    payload = {
-        "id": doc.id,
-        "url": doc.url,
-        "title": doc.title,
-        "body": doc.body,
-        "meta": {
-            "keywords": sorted(doc.meta.keywords),
-            "concepts": doc.meta.concepts,
-        },
-    }
-    return _RECORD_ENCODER.encode(payload)
-
-
 def save_index(index: InvertedIndex, path) -> None:
-    """Write `index` to `path` in index format v2 (see module doc), replacing the file atomically."""
+    """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically."""
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
     for doc_id in sorted(index.docs):
-        lines.append(_doc_to_json(index.docs[doc_id]))
+        doc = index.docs[doc_id]
+        lines.append(_RECORD_ENCODER.encode(
+            [doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts]
+        ))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -237,8 +257,8 @@ def load_index(path) -> InvertedIndex:
     record; never returns a partially loaded index.
     """
     lines = read_lines(path, "index")
-    if lines and lines[0] == _INDEX_MAGIC_V1:
-        raise DataError(f"{path} is a {_INDEX_MAGIC_V1} file; re-ingest the corpus to write {INDEX_MAGIC}")
+    if lines and lines[0] in _OLD_INDEX_MAGICS:
+        raise DataError(f"{path} is a {lines[0]} file; re-ingest the corpus to write {INDEX_MAGIC}")
     if not lines or lines[0] != INDEX_MAGIC:
         raise DataError(f"not a {INDEX_MAGIC} file: {path}")
     if len(lines) < 2:
@@ -257,7 +277,7 @@ def load_index(path) -> InvertedIndex:
     docs: dict[str, Document] = {}
     last_id = None
     for line_no, line in enumerate(records[:doc_count], start=3):
-        doc = _parse_record(line, line_no)
+        doc = _parse_index_record(line, line_no)
         if last_id is not None and doc.id <= last_id:
             raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
         docs[doc.id] = doc

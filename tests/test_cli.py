@@ -56,6 +56,13 @@ class TestIngest:
         assert len(built) == 1
         assert "postings" not in vars(built[0])
 
+    def test_counts_distinct_tokens_over_more_bodies_than_one_join(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus"
+        corpus_path.write_text("".join(json.dumps({"id": f"d{i:04d}", "body": f"w{i} Shared"}) + "\n"
+                                       for i in range(1100)), encoding="utf-8")
+        assert cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(tmp_path / "idx")]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "ingested 1100 documents, 1101 distinct tokens"
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = cli.main(["ingest", "--corpus", str(tmp_path / "nope"), "--index", str(tmp_path / "idx")])
         assert code == cli.EXIT_DATA
@@ -171,6 +178,11 @@ class TestTrain:
         assert code == cli.EXIT_OK
         assert hashlib.sha256(model_path.read_bytes()).hexdigest() == (
             "6f7e92cf89a27ab4dadbb6ca2476b0d43eabab82ba42c82c8384dc733c445656")
+
+    def test_fixture_index_matches_golden_hash(self, ingested):
+        # Index format v3's bytes for the fixture corpus: a change to the format or its encoder must be deliberate.
+        assert hashlib.sha256(ingested.read_bytes()).hexdigest() == (
+            "688ee7cec669abfc71a9a63d96bd614a12092da9f4477ec45de6c43449bf3f64")
 
     def test_hidden_flag_changes_architecture(self, tmp_path, ingested):
         model_path = tmp_path / "model"

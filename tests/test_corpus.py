@@ -280,10 +280,14 @@ class TestIndexPersistence:
         with pytest.raises(DataError, match="truncated index file: expected doc count header"):
             load_index(path)
 
-    def test_v1_index_asks_for_reingest(self, tmp_path):
+    @pytest.mark.parametrize("old_file", [
+        'PSWM-INDEX v1\n{"doc_count": 0}\n{"token_count": 0}\n',
+        'PSWM-INDEX v2\n{"doc_count": 1}\n{"body":"x","id":"a","meta":{"concepts":{},"keywords":[]},"title":"","url":""}\n',
+    ], ids=["v1", "v2"])
+    def test_v1_index_asks_for_reingest(self, tmp_path, old_file):
         path = tmp_path / "idx"
-        path.write_text('PSWM-INDEX v1\n{"doc_count": 0}\n{"token_count": 0}\n', encoding="utf-8")
-        with pytest.raises(DataError, match="re-ingest"):
+        path.write_text(old_file, encoding="utf-8")
+        with pytest.raises(DataError, match=f"is a {old_file.splitlines()[0]} file; re-ingest the corpus"):
             load_index(path)
 
     def test_truncated_documents(self, tmp_path):
@@ -322,13 +326,26 @@ class TestIndexPersistence:
 
     def test_malformed_record_names_line(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a", "b")
-        self.write_lines(path, [*lines[:3], lines[3].replace('"body"', '"bodies"')])
-        with pytest.raises(DataError, match="line 4.*body"):
+        self.write_lines(path, [*lines[:3], lines[3].replace('"tok b"', "5")])
+        with pytest.raises(DataError, match="line 4: missing 'body' string"):
+            load_index(path)
+
+    @pytest.mark.parametrize("record", [
+        '{"id":"b","url":"","title":"","body":"x","keywords":[],"concepts":{}}',
+        '["b","","","x",[]]',
+        '["b","","","x",[],{},"extra"]',
+        '"b"',
+        "null",
+    ], ids=["object", "5-fields", "7-fields", "string", "null"])
+    def test_record_not_an_array_of_six_names_line(self, tmp_path, record):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:3], record])
+        with pytest.raises(DataError, match=r"line 4: record is not an array \[id, url, title, body"):
             load_index(path)
 
     def test_lone_surrogate_in_record_names_line(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a", "b")
-        self.write_lines(path, [*lines[:2], lines[2].replace('"id":"a"', '"id":"a\\ud800"'), lines[3]])
+        self.write_lines(path, [*lines[:2], lines[2].replace('["a"', '["a\\ud800"'), lines[3]])
         with pytest.raises(DataError, match="line 3: string holds a lone surrogate"):
             load_index(path)
 
@@ -362,5 +379,15 @@ class TestIndexPersistence:
         save_index(fixture_index, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         n = json.loads(lines[1])["doc_count"]
-        ids = [json.loads(line)["id"] for line in lines[2 : 2 + n]]
+        records = [json.loads(line) for line in lines[2 : 2 + n]]
+        assert all(isinstance(record, list) and len(record) == 6 for record in records)
+        ids = [record[0] for record in records]
         assert ids == sorted(ids)
+
+    def test_record_is_a_positional_array_with_sorted_keywords(self, tmp_path):
+        path = tmp_path / "idx"
+        doc = Document(id="d1", url="u", title="T", body="web",
+                       meta=MetaRecord.from_raw(["web", "Data"], {"b": 0.5, "a": 1}))
+        save_index(build_index([doc]), path)
+        assert path.read_text(encoding="utf-8").splitlines()[2] == '["d1","u","T","web",["data","web"],{"a":1.0,"b":0.5}]'
+

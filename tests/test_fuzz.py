@@ -3,14 +3,15 @@
 Every loader ends in a value or a DataError, a saved index loads back equal
 with the brute-force postings and answers every token lookup with them,
 lookups tokenize fewer than twice the doc count before the full build,
-`ingest` prints the brute-force distinct-token count, `analyze` and
-`attach_probabilities` equal their per-document definitions, and the CLI
-never raises.
+`ingest` prints the brute-force distinct-token count, `analyze`,
+`attach_probabilities`, `MetaRecord.from_raw` and the record decoder equal
+their plain definitions, and the CLI never raises.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -95,9 +96,22 @@ def _lines(magic: str, lines: st.SearchStrategy[list[str]]) -> st.SearchStrategy
     return _mostly(text, st.binary(max_size=100))
 
 
+_index_records = _mostly(
+    st.tuples(
+        _mostly(_text(3, min_size=1), _json), _mostly(_text(3), _json), _mostly(_text(3), _json),
+        _mostly(_text(20), _json), _mostly(st.lists(_mostly(_text(5), _json), max_size=3), _json),
+        _mostly(st.dictionaries(_text(5), _mostly(st.floats(-0.5, 1.5), _json), max_size=3), _json),
+    ).map(list),
+    _json | st.lists(_json, min_size=5, max_size=7),
+)
+_index_record_lines = _mostly(
+    _index_records.map(json.dumps), _text(30) | st.just('["a", "", "", %s, [], {}]' % ("9" * 5000))
+)
+
+
 @st.composite
 def _index_lines(draw):
-    records = draw(st.lists(_record_lines, max_size=4))
+    records = draw(st.lists(_index_record_lines, max_size=4))
     doc_count = draw(_mostly(st.just(len(records)), _json))
     return [json.dumps({"doc_count": doc_count})] + records
 
@@ -249,6 +263,94 @@ def test_ingest_counts_the_brute_force_tokens(scratch):
         assert len(load_index(index_path).postings) == count
 
     check()
+
+
+# Text whose lowering depends on its neighbours (a final Σ, also across the soft hyphen U+00AD that the
+# rule skips), grows (İ) or leaves ASCII (the Kelvin sign): where tokenizing bodies joined by a space could err.
+_joined_words = st.sampled_from(["ΟΔΟΣ", "Σ", "AΣ", "σ", "ς", "\u212a", "İ", "i", "\u00ad", "Σ\u00ad", "web"])
+_joined_bodies = st.lists(st.lists(_joined_words | st.sampled_from([" ", "-", ""]) | _doc_text(2), max_size=5)
+                          .map("".join), max_size=6)
+
+
+def test_ingest_counts_tokens_of_joined_bodies_as_body_by_body(scratch):
+    corpus_path, index_path = scratch / "joined_corpus", scratch / "joined_idx"
+
+    @PROPERTY
+    @given(bodies=_joined_bodies)
+    def check(bodies):
+        corpus_path.write_text("".join(json.dumps({"id": f"d{i}", "body": body}) + "\n"
+                                       for i, body in enumerate(bodies)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)]) == 0
+        count = len(set().union(*(tokenize(body) for body in bodies)))
+        assert out.getvalue().splitlines()[0] == f"ingested {len(bodies)} documents, {count} distinct tokens"
+
+    check()
+
+
+def _reference_from_raw(keywords, concepts) -> MetaRecord:
+    """`MetaRecord.from_raw` as one checked loop per tag kind: the result and errors it must keep."""
+    norm_kw = set()
+    for kw in keywords:
+        if not isinstance(kw, str):
+            raise ValueError(f"keyword is not a string: {kw!r}")
+        kw = kw.strip().lower()
+        if kw:
+            norm_kw.add(kw)
+    norm_concepts = {}
+    for tag, weight in concepts.items():
+        if not isinstance(tag, str):
+            raise ValueError(f"concept tag is not a string: {tag!r}")
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValueError(f"concept weight for {tag!r} is not a number: {weight!r}")
+        if not 0 <= weight <= 1:
+            raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
+        w = float(weight)
+        tag = tag.strip().lower()
+        if tag:
+            norm_concepts[tag] = w
+    return MetaRecord(keywords=norm_kw, concepts=norm_concepts)
+
+
+_raw_tags = _text(4) | st.sampled_from([" Web ", "WEB", "", " ", "Σ"])
+_odd_values = (st.booleans() | st.integers(-2, 3) | st.sampled_from([10**400, -10**400, math.nan])
+               | st.floats() | _text(3))
+
+
+def _outcome(build, keywords, concepts):
+    try:
+        meta = build(keywords, concepts)
+    except ValueError as exc:
+        return "error", str(exc)
+    # repr tells 1 from 1.0 and 0.0 from -0.0; item order is the dict's own.
+    return sorted(meta.keywords), [(tag, repr(w)) for tag, w in meta.concepts.items()]
+
+
+@PROPERTY
+@given(keywords=st.lists(_mostly(_raw_tags, _odd_values), max_size=4),
+       concepts=st.dictionaries(_mostly(_raw_tags, _odd_values), _mostly(st.floats(0.0, 1.0), _odd_values),
+                                max_size=4))
+def test_from_raw_equals_the_checked_loop(keywords, concepts):
+    assert _outcome(MetaRecord.from_raw, keywords, concepts) == _outcome(_reference_from_raw, keywords, concepts)
+
+
+_json_lines = _mostly(_json.map(json.dumps), _text(12)) | st.sampled_from(
+    [" 1", "1 ", "\ufeff1", "[1] x", "[1]]", "NaN", "-Infinity", "1" * 5000, "[" * 100_000 + "]" * 100_000, ""])
+
+
+@PROPERTY
+@given(line=_json_lines)
+def test_json_line_decodes_and_fails_as_json_loads(line):
+    try:
+        expected = repr(json.loads(line))
+    except (ValueError, RecursionError) as exc:
+        expected = f"line 7: invalid JSON: {exc}"
+    try:
+        got = repr(corpus._json_line(line, 7))
+    except DataError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 # Few words over few documents, so queries, bodies and tags overlap often.
