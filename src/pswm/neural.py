@@ -14,23 +14,23 @@ layer:
   ew -- how fast the error changes with a weight (ei scaled by the source
         unit's activity)
 
-`backprop` returns only the last family: one derivative matrix per weight
-matrix, shaped like it.
+`backprop` returns only the last family, laid out like the weights.
 
 Thresholds are realized as bias units: every non-output layer carries one
-extra unit with constant activity 1.0, so each weight matrix has one more
-source row (the bias row, stored last) than the layer has units.
+extra unit with constant activity 1.0, so each unit has one more incoming
+weight (the bias weight, stored last) than the layer below has units.
 
-All arithmetic runs on plain Python floats in one kernel (`_forward`,
-`_backward`, `_step`), which `train`, `forward`, `backprop` and `error`
-share, and `gradient_check` through them; so each arithmetic step is
-written once and training gives the same bits as the public functions
-called in turn. The kernel holds a layer as one list per target unit of
-its incoming weights, bias last (`_layers`). `train` checks its whole
-example list once, converts ``net.weights`` once and writes the kernel's
-weights back into those arrays after every epoch; the public functions
-convert on every call. The code alone fixes the bits, not the BLAS or SIMD
-routines a CPU selects at runtime:
+Weights are plain Python floats in one layout: ``net.weights[k][j]`` is the
+list of incoming weights of unit j in layer k + 1, bias last. All
+arithmetic runs on them in one kernel (`_forward`, `_backward`, `_step`),
+which `train`, `forward`, `backprop` and `error` share, and
+`gradient_check` through them; so each arithmetic step is written once,
+training updates ``net.weights`` in place with no copy to convert or write
+back, and it gives the same bits as the public functions called in turn.
+numpy only draws random numbers: it is imported inside `init_weights`,
+`train` (the shuffle) and `gradient_check_suite`, so loading a model,
+searching and evaluating never import it. The code alone fixes the bits,
+not the BLAS or SIMD routines a CPU selects at runtime:
 
   - Every sum runs left to right in an explicit loop from 0.0: a unit's
     total input adds its sources in order and its bias last, a source's
@@ -41,22 +41,22 @@ routines a CPU selects at runtime:
   - The exponential is the C library's ``exp``, through `math.exp`.
   - The sigmoid saturates explicitly, without a warning: where e^-x
     overflows (`math.exp` raises OverflowError) it is 0.0, and where e^-x
-    underflows to 0.0 it is 1.0, the values numpy reaches through inf.
+    underflows to 0.0 it is 1.0.
   - Training takes one example at a time: summing in another order
     (batching examples, say) would change the trained weights' last bits.
 
 Model files are UTF-8 text. Line 1 is the magic ``PSWM-MODEL v1``, line 2
-the space-separated layer sizes, then one line per weight-matrix row
-(matrices in layer order, source rows ascending, bias row last). Floats are
-written with ``repr`` so the file parses back to bit-identical doubles.
+the space-separated layer sizes, then one line per source row of each
+weight layer (layers in order, source rows ascending, bias row last; a row
+holds that source's weight into each target unit). `save_model` and
+`load_model` transpose at this boundary. Floats are written with ``repr``
+so the file parses back to bit-identical doubles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DataError
 from .fileio import read_lines, write_text_atomic
@@ -68,40 +68,62 @@ MODEL_MAGIC = "PSWM-MODEL v1"
 GRADIENT_TOLERANCE = 1e-5
 
 
-def sigmoid(x):
-    """Logistic squashing function 1 / (1 + e^-x)."""
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x: float) -> float:
+    """Logistic squashing function 1 / (1 + e^-x): 0.0 where e^-x overflows, 1.0 where it underflows to 0.0."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def _floats(values, size: int, name: str) -> list[float]:
+    """`values` as a new list of `size` finite floats; ValueError names them `name` otherwise."""
+    try:
+        v = [float(x) for x in values]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} are not numbers") from exc
+    if len(v) != size:
+        raise ValueError(f"{name} have shape ({len(v)},), expected ({size},)")
+    if not all(math.isfinite(x) for x in v):
+        raise ValueError(f"{name} contain non-finite values")
+    return v
+
+
+def _check_sizes(layer_sizes) -> list[int]:
+    """`layer_sizes` as ints; ValueError unless there are two or more, all positive."""
+    sizes = [int(s) for s in layer_sizes]
+    if len(sizes) < 2 or any(s < 1 for s in sizes):
+        raise ValueError(f"need at least two layers of positive size, got {sizes}")
+    return sizes
 
 
 class Network:
-    """Layered sigmoid network: layer sizes plus one weight matrix per layer pair.
+    """Layered sigmoid network: layer sizes plus one weight layer per layer pair.
 
-    ``weights[k]`` has shape ``(layer_sizes[k] + 1, layer_sizes[k + 1])``;
-    the extra source row is the bias unit.
+    ``weights[k][j]`` is the list of float incoming weights of unit j in
+    layer k + 1: ``layer_sizes[k]`` source weights, then the bias weight.
+    The kernel reads and updates these lists as they are; nothing converts
+    them.
     """
 
     def __init__(self, layer_sizes, weights):
-        sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"need at least two layers of positive size, got {sizes}")
-        mats = [np.asarray(w, dtype=float) for w in weights]
-        if len(mats) != len(sizes) - 1:
-            raise ValueError(f"expected {len(sizes) - 1} weight matrices, got {len(mats)}")
-        for k, w in enumerate(mats):
-            expected = (sizes[k] + 1, sizes[k + 1])
-            if w.shape != expected:
-                raise ValueError(f"weight matrix {k} has shape {w.shape}, expected {expected}")
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"weight matrix {k} contains non-finite entries")
+        sizes = _check_sizes(layer_sizes)
+        weights = list(weights)
+        if len(weights) != len(sizes) - 1:
+            raise ValueError(f"expected {len(sizes) - 1} weight matrices, got {len(weights)}")
         self.layer_sizes = sizes
-        self.weights = mats
+        self.weights = []
+        for k, units in enumerate(weights):
+            units = list(units)
+            if len(units) != sizes[k + 1]:
+                raise ValueError(f"weight matrix {k} has {len(units)} units, expected {sizes[k + 1]}")
+            self.weights.append([_floats(w, sizes[k] + 1, f"weight matrix {k} unit {j}: weights")
+                                 for j, w in enumerate(units)])
 
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
-        return self.layer_sizes == other.layer_sizes and all(
-            np.array_equal(a, b) for a, b in zip(self.weights, other.weights)
-        )
+        return self.layer_sizes == other.layer_sizes and self.weights == other.weights
 
     def __repr__(self):
         return f"Network(layer_sizes={self.layer_sizes})"
@@ -115,19 +137,6 @@ class TrainingExample:
     desired: list[float]
 
 
-def _layers(weights) -> list[list[list[float]]]:
-    """The kernel's copy of `weights`: per layer, each target unit's incoming weights, bias last."""
-    return [w.T.tolist() for w in weights]
-
-
-def _squash(x: float) -> float:
-    """The sigmoid of one float: 0.0 where e^-x overflows, 1.0 where it underflows to 0.0."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
-
-
 def _forward(layers, inputs: list[float]) -> list[list[float]]:
     """Forward pass; returns the activities of every layer, `inputs` first."""
     acts = [inputs]
@@ -138,7 +147,7 @@ def _forward(layers, inputs: list[float]) -> list[list[float]]:
             total = 0.0
             for a, wi in zip(src, w):  # stops at the bias, the last weight
                 total += a * wi
-            out.append(_squash(total + w[-1]))
+            out.append(sigmoid(total + w[-1]))
         acts.append(out)
     return acts
 
@@ -171,7 +180,7 @@ def _backward(layers, acts, ea: list[float]) -> list[list[float]]:
 
 
 def _step(layers, inputs: list[float], desired: list[float], learning_rate: float) -> float:
-    """One unchecked online step; returns the example's pre-update error.
+    """One unchecked online step on `layers` in place; returns the example's pre-update error.
 
     Every derivative comes from the pre-update weights, as in `backprop`
     followed by one descent step.
@@ -186,70 +195,48 @@ def _step(layers, inputs: list[float], desired: list[float], learning_rate: floa
     return _half_square(ea)
 
 
-def forward(net: Network, features) -> list[np.ndarray]:
-    """Run the forward pass; returns the activity vector of every layer.
+def forward(net: Network, features) -> list[list[float]]:
+    """Run the forward pass; returns the activity list of every layer.
 
-    Layer 0 is the raw feature vector. Each later unit's total weighted
-    input is the dot product of the previous layer's activities (bias unit
-    included at 1.0) with its incoming weights, squashed by the sigmoid.
+    Layer 0 is the feature vector as floats. Each later unit's total
+    weighted input is the dot product of the previous layer's activities
+    (bias unit included at 1.0) with its incoming weights, squashed by the
+    sigmoid.
     """
-    y = np.asarray(features, dtype=float)
-    if y.shape != (net.layer_sizes[0],):
-        raise ValueError(f"input length {y.shape} does not match input layer size {net.layer_sizes[0]}")
-    acts = _forward(_layers(net.weights), y.tolist())
-    return [y] + [np.array(a) for a in acts[1:]]
+    x = [float(v) for v in features]
+    if len(x) != net.layer_sizes[0]:
+        raise ValueError(f"input length ({len(x)},) does not match input layer size {net.layer_sizes[0]}")
+    return _forward(net.weights, x)
 
 
 def error(output, desired) -> float:
     """Half the summed squared difference between output and desired vectors."""
-    y = np.asarray(output, dtype=float)
-    d = np.asarray(desired, dtype=float)
-    if y.shape != d.shape:
-        raise ValueError(f"output shape {y.shape} does not match desired shape {d.shape}")
-    return _half_square((y - d).ravel().tolist())
+    if len(output) != len(desired):
+        raise ValueError(f"output shape ({len(output)},) does not match desired shape ({len(desired)},)")
+    return _half_square([float(y) - float(d) for y, d in zip(output, desired)])
 
 
-def backprop(net: Network, activations, desired) -> list[np.ndarray]:
-    """Backward pass over activations produced by `forward`; returns one derivative matrix per weight matrix.
+def backprop(net: Network, activations, desired) -> list[list[list[float]]]:
+    """Backward pass over activations produced by `forward`; returns the weight derivatives.
 
     Works output-to-input: error/activity at the output layer, then per
-    layer the error/input values, the weight derivatives (bias row uses
-    source activity 1.0), and the previous layer's error/activity values.
-    Entry k of the result has the shape of ``net.weights[k]``.
+    layer the error/input values, the weight derivatives (the bias weight
+    uses source activity 1.0), and the previous layer's error/activity
+    values. The result is laid out like ``net.weights``: entry [k][j][i] is
+    the derivative of ``net.weights[k][j][i]``.
     """
     n_layers = len(net.layer_sizes)
     if len(activations) != n_layers:
         raise ValueError(f"expected {n_layers} activation vectors, got {len(activations)}")
-    acts = [np.asarray(a, dtype=float) for a in activations]
+    acts = [[float(v) for v in a] for a in activations]
     for k, a in enumerate(acts):
-        if a.shape != (net.layer_sizes[k],):
-            raise ValueError(f"activation vector {k} has shape {a.shape}, expected ({net.layer_sizes[k]},)")
-    d = np.asarray(desired, dtype=float)
-    if d.shape != acts[-1].shape:
-        raise ValueError(f"desired shape {d.shape} does not match output shape {acts[-1].shape}")
-    srcs = [a.tolist() for a in acts]
-    eis = _backward(_layers(net.weights), srcs, (acts[-1] - d).tolist())
-    return [np.array([[a * e for a in src] + [e] for e in ei]).T for src, ei in zip(srcs, eis)]
-
-
-def _example_arrays(net: Network, data: list[TrainingExample]) -> tuple[np.ndarray, np.ndarray]:
-    """Check every example against the network once; returns (n, inputs) features and (n, outputs) targets."""
-    n_in, n_out = net.layer_sizes[0], net.layer_sizes[-1]
-    features = np.empty((len(data), n_in))
-    desired = np.empty((len(data), n_out))
-    for i, example in enumerate(data):
-        for name, values, out in (("features", example.features, features),
-                                  ("desired", example.desired, desired)):
-            try:
-                v = np.asarray(values, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"example {i}: {name} are not numbers") from exc
-            if v.shape != out.shape[1:]:
-                raise ValueError(f"example {i}: {name} have shape {v.shape}, expected ({out.shape[1]},)")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"example {i}: {name} contain non-finite values")
-            out[i] = v
-    return features, desired
+        if len(a) != net.layer_sizes[k]:
+            raise ValueError(f"activation vector {k} has shape ({len(a)},), expected ({net.layer_sizes[k]},)")
+    d = [float(v) for v in desired]
+    if len(d) != len(acts[-1]):
+        raise ValueError(f"desired shape ({len(d)},) does not match output shape ({len(acts[-1])},)")
+    eis = _backward(net.weights, acts, [y - t for y, t in zip(acts[-1], d)])
+    return [[[a * e for a in src] + [e] for e in ei] for src, ei in zip(acts, eis)]
 
 
 def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate: float,
@@ -267,23 +254,26 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     epoch. Sigmoid overflow is not reported: it saturates to the correct
     limit.
     """
+    import numpy as np
+
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not data and epochs > 0:
         raise ValueError("cannot train on an empty example list")
     if learning_rate <= 0.0:
         raise ValueError(f"learning rate must be positive, got {learning_rate}")
-    features, desired = (a.tolist() for a in _example_arrays(net, data))
-    layers = _layers(net.weights)
+    n_in, n_out = net.layer_sizes[0], net.layer_sizes[-1]
+    features, desired = [], []
+    for i, example in enumerate(data):
+        features.append(_floats(example.features, n_in, f"example {i}: features"))
+        desired.append(_floats(example.desired, n_out, f"example {i}: desired"))
     rng = np.random.default_rng(seed)
     trace: list[float] = []
     for epoch in range(1, epochs + 1):
         total = 0.0
         for i in rng.permutation(len(data)).tolist():
-            total += _step(layers, features[i], desired[i], learning_rate)
-        for w, units in zip(net.weights, layers):
-            w[...] = np.array(units).T
-        if not all(np.all(np.isfinite(w)) for w in net.weights):
+            total += _step(net.weights, features[i], desired[i], learning_rate)
+        if not all(math.isfinite(x) for units in net.weights for w in units for x in w):
             raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
         trace.append(total / len(data))
     return net, trace
@@ -292,23 +282,23 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
 def init_weights(layer_sizes, seed: int) -> Network:
     """Fresh network with weights drawn uniformly from [-0.5, 0.5].
 
-    Draws come from numpy's seeded default generator (PCG64), one matrix per
-    layer pair in layer order, so equal seeds give identical networks.
+    Draws come from numpy's seeded default generator (PCG64), one source-row
+    matrix per layer pair in layer order (the model file's row order), so
+    equal seeds give identical networks.
     """
-    sizes = list(layer_sizes)
-    if len(sizes) < 2 or any(int(s) < 1 for s in sizes):
-        raise ValueError(f"need at least two layers of positive size, got {sizes}")
+    import numpy as np
+
+    sizes = _check_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
-    weights = [rng.uniform(-0.5, 0.5, size=(int(a) + 1, int(b))) for a, b in zip(sizes, sizes[1:])]
-    return Network(sizes, weights)
+    return Network(sizes, [rng.uniform(-0.5, 0.5, size=(a + 1, b)).T.tolist() for a, b in zip(sizes, sizes[1:])])
 
 
 def save_model(net: Network, path) -> None:
     """Write `net` to `path` in the versioned text format (see module doc), replacing the file atomically."""
     lines = [MODEL_MAGIC, " ".join(str(s) for s in net.layer_sizes)]
-    for w in net.weights:
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
+    for units in net.weights:
+        for row in zip(*units):
+            lines.append(" ".join(repr(v) for v in row))
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -335,7 +325,7 @@ def load_model(path) -> Network:
     if len(body) != expected_rows:
         raise DataError(f"model file has {len(body)} weight rows, expected {expected_rows}")
 
-    weights: list[np.ndarray] = []
+    weights = []
     pos = 0
     for src, tgt in zip(sizes, sizes[1:]):
         rows = []
@@ -348,11 +338,11 @@ def load_model(path) -> Network:
                 row = [float(p) for p in parts]
             except ValueError as exc:
                 raise DataError(f"line {line_no}: invalid weight value") from exc
-            if not all(np.isfinite(row)):
+            if not all(math.isfinite(v) for v in row):
                 raise DataError(f"line {line_no}: non-finite weight value")
             rows.append(row)
             pos += 1
-        weights.append(np.array(rows, dtype=float))
+        weights.append(zip(*rows))
     return Network(sizes, weights)
 
 
@@ -365,17 +355,16 @@ def gradient_check(net: Network, features, desired, h: float = 1e-4) -> float:
     """
     activations = forward(net, features)
     worst = 0.0
-    for w, g in zip(net.weights, backprop(net, activations, desired)):
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                original = w[i, j]
-                w[i, j] = original + h
+    for units, grads in zip(net.weights, backprop(net, activations, desired)):
+        for w, g in zip(units, grads):
+            for i, analytic in enumerate(g):
+                original = w[i]
+                w[i] = original + h
                 e_plus = error(forward(net, features)[-1], desired)
-                w[i, j] = original - h
+                w[i] = original - h
                 e_minus = error(forward(net, features)[-1], desired)
-                w[i, j] = original
+                w[i] = original
                 numeric = (e_plus - e_minus) / (2.0 * h)
-                analytic = g[i, j]
                 scale = max(abs(analytic), abs(numeric), 1e-8)
                 worst = max(worst, abs(analytic - numeric) / scale)
     return worst
@@ -387,13 +376,15 @@ def gradient_check_suite(seed: int) -> float:
     Samples 2- or 3-layer shapes with sizes in 1..5, inputs in [-1, 1], and
     targets in [0, 1], all from one generator seeded with `seed`.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
         n_layers = int(rng.integers(2, 4))
         sizes = [int(s) for s in rng.integers(1, 6, size=n_layers)]
         net = init_weights(sizes, int(rng.integers(0, 2**32)))
-        features = rng.uniform(-1.0, 1.0, size=sizes[0])
-        desired = rng.uniform(0.0, 1.0, size=sizes[-1])
+        features = rng.uniform(-1.0, 1.0, size=sizes[0]).tolist()
+        desired = rng.uniform(0.0, 1.0, size=sizes[-1]).tolist()
         worst = max(worst, gradient_check(net, features, desired))
     return worst

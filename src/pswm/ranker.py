@@ -45,7 +45,7 @@ def attach_probabilities(candidates: list[CandidateFeatures], net: Network) -> l
     check_ranking_shape(net)
     ranked: list[RankedResult] = []
     for cand in candidates:
-        probability = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
+        probability = forward(net, [cand.syntactic, cand.semantic])[-1][0]
         ranked.append(RankedResult(cand.doc_id, cand.syntactic, cand.semantic, probability))
     return ranked
 

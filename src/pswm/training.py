@@ -89,7 +89,7 @@ def evaluate(net: Network, judgments: list[Judgment], index: InvertedIndex) -> d
     for example in examples:
         output = forward(net, example.features)[-1]
         total_error += error(output, example.desired)
-        predicted_relevant = float(output[0]) >= ACCURACY_THRESHOLD
+        predicted_relevant = output[0] >= ACCURACY_THRESHOLD
         if predicted_relevant == (example.desired[0] >= ACCURACY_THRESHOLD):
             correct += 1
     return {

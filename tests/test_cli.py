@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import pswm
 from pswm import DataError, build_index, cli, corpus, init_weights, load_index, load_model, save_model
 from pswm.neural import MODEL_MAGIC
 
@@ -446,6 +451,38 @@ class TestGradcheck:
         assert code == cli.EXIT_CHECK
         assert "max relative error: 5.000e-01" in captured.out
         assert "FAILED" in captured.err
+
+
+def _fresh_imports(args, cwd) -> set[str]:
+    """Modules that a fresh `python -X importtime <args>` imports: it writes one stderr line per module."""
+    src = str(Path(pswm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+
+class TestNumpyImport:
+    """numpy only draws random numbers, so the commands that draw none never import it."""
+
+    def test_import_ingest_search_and_eval_leave_numpy_unloaded(self, tmp_path, ingested, trained):
+        runs = [
+            ["-c", "import pswm"],
+            ["-m", "pswm", "ingest", "--corpus", str(CORPUS_PATH), "--index", str(tmp_path / "idx2")],
+            ["-m", "pswm", "search", "semantic web mining", "--index", str(ingested), "--model", str(trained),
+             "--cutoff", "0"],
+            ["-m", "pswm", "eval", "--index", str(ingested), "--model", str(trained),
+             "--judgments", str(JUDGMENTS_PATH)],
+        ]
+        for args in runs:
+            assert "numpy" not in _fresh_imports(args, tmp_path), args
+
+    def test_train_imports_numpy_for_its_draws(self, tmp_path, ingested):
+        # The same check sees numpy where a command draws random numbers.
+        args = ["-m", "pswm", "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+                "--model", str(tmp_path / "m"), "--epochs", "1"]
+        assert "numpy" in _fresh_imports(args, tmp_path)
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 """Network mechanics: forward pass, derivatives, training, persistence."""
 
+import copy
 import math
 import warnings
 
@@ -39,29 +40,36 @@ class TestSigmoid:
         assert sigmoid(40.0) > 0.999999
         assert sigmoid(-40.0) < 1e-6
 
-    def test_vectorized(self):
-        out = sigmoid(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(out, [0.5, 1.0 / (1.0 + math.exp(-1.0))])
-
     def test_monotone(self):
-        xs = np.linspace(-6, 6, 200)
-        ys = sigmoid(xs)
-        assert np.all(np.diff(ys) > 0)
+        ys = [sigmoid(-6.0 + 12.0 * i / 199) for i in range(200)]
+        assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
 class TestNetwork:
     def test_shapes_accepted(self):
-        net = Network([2, 3, 1], [np.zeros((3, 3)), np.zeros((4, 1))])
+        # one list per unit of incoming weights: layer_sizes[k] sources, then the bias
+        net = Network([2, 3, 1], [[[0.0] * 3 for _ in range(3)], [[0.0] * 4]])
         assert net.layer_sizes == [2, 3, 1]
+
+    def test_weights_become_new_float_lists(self):
+        units = [[1, 2]]
+        net = Network([1, 1], [units])
+        units[0][0] = 5
+        assert net.weights == [[[1.0, 2.0]]]
+        assert all(type(x) is float for x in net.weights[0][0])
 
     def test_wrong_matrix_count(self):
         with pytest.raises(ValueError, match="weight matrices"):
-            Network([2, 3, 1], [np.zeros((3, 3))])
+            Network([2, 3, 1], [[[0.0] * 3 for _ in range(3)]])
 
     def test_wrong_shape(self):
-        # missing the bias row
-        with pytest.raises(ValueError, match="shape"):
-            Network([2, 1], [np.zeros((2, 1))])
+        # missing the bias weight
+        with pytest.raises(ValueError, match=r"weight matrix 0 unit 0: weights have shape \(2,\), expected \(3,\)"):
+            Network([2, 1], [[[0.0, 0.0]]])
+
+    def test_wrong_unit_count(self):
+        with pytest.raises(ValueError, match="weight matrix 0 has 2 units, expected 1"):
+            Network([2, 1], [[[0.0] * 3, [0.0] * 3]])
 
     def test_single_layer_rejected(self):
         with pytest.raises(ValueError, match="at least two layers"):
@@ -69,13 +77,11 @@ class TestNetwork:
 
     def test_zero_width_layer_rejected(self):
         with pytest.raises(ValueError):
-            Network([2, 0], [np.zeros((3, 0))])
+            Network([2, 0], [[]])
 
     def test_non_finite_weights_rejected(self):
-        w = np.zeros((3, 1))
-        w[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            Network([2, 1], [w])
+            Network([2, 1], [[[math.nan, 0.0, 0.0]]])
 
     def test_equality(self):
         a = init_weights([2, 2, 1], 5)
@@ -88,50 +94,55 @@ class TestNetwork:
 class TestForward:
     def test_single_connection_oracle(self):
         # one input, one output: x = 0.5 * 0.5 + 1.0 * 0.0 = 0.25
-        net = Network([1, 1], [np.array([[0.5], [0.0]])])
+        net = Network([1, 1], [[[0.5, 0.0]]])
         acts = forward(net, [0.5])
         assert len(acts) == 2
-        np.testing.assert_allclose(acts[0], [0.5])
+        assert acts[0] == [0.5]
         assert acts[1][0] == pytest.approx(1.0 / (1.0 + math.exp(-0.25)), rel=1e-15)
 
     def test_bias_alone(self):
         # zero input weight: output is sigmoid of the bias weight
-        net = Network([1, 1], [np.array([[0.0], [-1.5]])])
+        net = Network([1, 1], [[[0.0, -1.5]]])
         acts = forward(net, [0.9])
         assert acts[1][0] == pytest.approx(1.0 / (1.0 + math.exp(1.5)), rel=1e-15)
 
     def test_all_zero_weights_give_half_everywhere(self):
-        net = Network([3, 2, 2], [np.zeros((4, 2)), np.zeros((3, 2))])
+        net = Network([3, 2, 2], [[[0.0] * 4, [0.0] * 4], [[0.0] * 3, [0.0] * 3]])
         acts = forward(net, [0.9, -4.0, 17.0])
-        np.testing.assert_array_equal(acts[1], [0.5, 0.5])
-        np.testing.assert_array_equal(acts[2], [0.5, 0.5])
+        assert acts[1] == [0.5, 0.5]
+        assert acts[2] == [0.5, 0.5]
 
     def test_two_layer_hand_computation(self):
-        w0 = np.array([[0.1, -0.2], [0.3, 0.4], [0.05, -0.05]])
-        w1 = np.array([[0.7], [-0.6], [0.2]])
+        w0 = [[0.1, 0.3, 0.05], [-0.2, 0.4, -0.05]]
+        w1 = [[0.7, -0.6, 0.2]]
         net = Network([2, 2, 1], [w0, w1])
         x = [0.5, -1.0]
         h0 = sigmoid(0.5 * 0.1 + -1.0 * 0.3 + 0.05)
         h1 = sigmoid(0.5 * -0.2 + -1.0 * 0.4 + -0.05)
         out = sigmoid(h0 * 0.7 + h1 * -0.6 + 0.2)
         acts = forward(net, x)
-        np.testing.assert_allclose(acts[1], [h0, h1], rtol=1e-15)
-        np.testing.assert_allclose(acts[2], [out], rtol=1e-15)
+        assert acts[1] == pytest.approx([h0, h1], rel=1e-15)
+        assert acts[2] == pytest.approx([out], rel=1e-15)
 
     def test_activities_in_unit_interval(self):
         net = init_weights([3, 4, 2], 9)
         acts = forward(net, [10.0, -10.0, 0.1])
         for layer in acts[1:]:
-            assert np.all(layer > 0.0) and np.all(layer < 1.0)
+            assert all(0.0 < a < 1.0 for a in layer)
+
+    def test_returns_float_lists_for_array_input(self):
+        acts = forward(init_weights([2, 3, 1], 9), np.array([0.25, 0.5]))
+        assert acts[0] == [0.25, 0.5]
+        assert all(type(a) is list and all(type(x) is float for x in a) for a in acts)
 
     @pytest.mark.parametrize("big, expected", [(1e300, 1.0), (-1e300, 0.0)])
     def test_huge_weights_saturate_exactly_without_warnings(self, big, expected):
         # Every total input is about +-1e300: e^-x underflows to 0.0 or overflows.
-        net = Network([2, 3, 1], [np.full((3, 3), big), np.full((4, 1), big)])
+        net = Network([2, 3, 1], [[[big] * 3 for _ in range(3)], [[big] * 4]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             acts = forward(net, [0.5, 0.25])
-        assert [list(a) for a in acts[1:]] == [[expected] * 3, [expected]]
+        assert acts[1:] == [[expected] * 3, [expected]]
 
     def test_input_size_mismatch(self):
         net = init_weights([2, 1], 0)
@@ -151,13 +162,13 @@ class TestError:
     def test_zero_only_at_target(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            y = rng.uniform(0, 1, size=3)
-            d = y.copy()
+            y = rng.uniform(0, 1, size=3).tolist()
+            d = list(y)
             if rng.uniform() < 0.5:
                 d[int(rng.integers(0, 3))] += 1e-6
             e = error(y, d)
             assert e >= 0.0
-            assert (e == 0.0) == bool(np.array_equal(y, d))
+            assert (e == 0.0) == (y == d)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
@@ -170,29 +181,29 @@ class TestBackprop:
         #   ea_out = 0.8 - 0.3
         #   ei = ea * 0.8 * 0.2
         #   ew = ei * source activity (1.0 for both the unit and the bias)
-        net = Network([1, 1], [np.array([[0.7], [0.1]])])
-        acts = [np.array([1.0]), np.array([0.8])]
+        net = Network([1, 1], [[[0.7, 0.1]]])
+        acts = [[1.0], [0.8]]
         grads = backprop(net, acts, [0.3])
         ea_out = 0.8 - 0.3
         ei = ea_out * 0.8 * (1.0 - 0.8)
-        np.testing.assert_allclose(grads[0], [[ei], [ei]], rtol=1e-15)
+        assert grads == [[pytest.approx([ei, ei], rel=1e-15)]]
 
     def test_bias_row_uses_unit_activity(self):
-        net = Network([2, 1], [np.array([[0.5], [-0.5], [0.25]])])
+        net = Network([2, 1], [[[0.5, -0.5, 0.25]]])
         acts = forward(net, [0.4, 0.6])
         grads = backprop(net, acts, [1.0])
         out = acts[-1][0]
         ei = (out - 1.0) * out * (1.0 - out)
-        # source rows scale ei by their activities; the bias row is ei itself
-        np.testing.assert_allclose(grads[0][:, 0], [0.4 * ei, 0.6 * ei, ei], rtol=1e-12)
+        # source weights scale ei by their activities; the bias weight's derivative is ei itself
+        assert grads[0][0] == pytest.approx([0.4 * ei, 0.6 * ei, ei], rel=1e-12)
 
     def test_gradient_shapes_mirror_weights(self):
         net = init_weights([3, 5, 2], 3)
         acts = forward(net, [0.1, 0.2, 0.3])
         grads = backprop(net, acts, [0.0, 1.0])
         assert len(grads) == 2
-        for w, g in zip(net.weights, grads):
-            assert g.shape == w.shape
+        for units, g in zip(net.weights, grads):
+            assert [len(w) for w in g] == [len(w) for w in units]
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -206,22 +217,22 @@ class TestBackprop:
         net = init_weights([2, 2, 1], 1)
         acts = forward(net, [0.3, 0.9])
         grads = backprop(net, acts, acts[-1])
-        for g in grads:
-            np.testing.assert_allclose(g, np.zeros_like(g), atol=1e-15)
+        for layer in grads:
+            for g in layer:
+                assert g == pytest.approx([0.0] * len(g), abs=1e-15)
 
     def test_saturated_units_have_zero_input_derivative(self):
         # the sigmoid slope factor y(1-y) kills ei at activities of exactly 0 or 1
-        net = Network([1, 2, 1], [np.full((2, 2), 0.3), np.full((3, 1), 0.3)])
-        acts = [np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0])]
+        net = Network([1, 2, 1], [[[0.3, 0.3], [0.3, 0.3]], [[0.3, 0.3, 0.3]]])
+        acts = [[1.0], [0.0, 1.0], [1.0]]
         grads = backprop(net, acts, [0.0])
-        # ei of each layer is its weight matrix's bias row
-        np.testing.assert_array_equal(grads[0][-1], [0.0, 0.0])
-        np.testing.assert_array_equal(grads[1][-1], [0.0])
-        np.testing.assert_array_equal(grads[1], np.zeros((3, 1)))
+        # each unit's ei is the derivative of its bias weight, the last one
+        assert [g[-1] for g in grads[0]] == [0.0, 0.0]
+        assert grads[1] == [[0.0, 0.0, 0.0]]
 
     def test_chain_consistency_on_1_1_1(self):
-        w0 = np.array([[0.4], [-0.1]])
-        w1 = np.array([[-0.9], [0.3]])
+        w0 = [[0.4, -0.1]]
+        w1 = [[-0.9, 0.3]]
         net = Network([1, 1, 1], [w0, w1])
         acts = forward(net, [0.6])
         h, out = acts[1][0], acts[2][0]
@@ -230,22 +241,22 @@ class TestBackprop:
         # hand-composed chain: ea_out -> ei_out -> ea_hidden -> ei_hidden -> ew
         ea_out = out - desired
         ei_out = ea_out * out * (1.0 - out)
-        ea_hidden = w1[0, 0] * ei_out
+        ea_hidden = w1[0][0] * ei_out
         ei_hidden = ea_hidden * h * (1.0 - h)
-        assert grads[1][0, 0] == pytest.approx(h * ei_out, rel=1e-14)
-        assert grads[1][1, 0] == pytest.approx(ei_out, rel=1e-14)
-        assert grads[0][0, 0] == pytest.approx(0.6 * ei_hidden, rel=1e-14)
-        assert grads[0][1, 0] == pytest.approx(ei_hidden, rel=1e-14)
+        assert grads[1][0][0] == pytest.approx(h * ei_out, rel=1e-14)
+        assert grads[1][0][1] == pytest.approx(ei_out, rel=1e-14)
+        assert grads[0][0][0] == pytest.approx(0.6 * ei_hidden, rel=1e-14)
+        assert grads[0][0][1] == pytest.approx(ei_hidden, rel=1e-14)
 
     def test_wrong_activation_count(self):
         net = init_weights([2, 1], 0)
         with pytest.raises(ValueError, match="activation vectors"):
-            backprop(net, [np.array([1.0, 2.0])], [0.5])
+            backprop(net, [[1.0, 2.0]], [0.5])
 
     def test_wrong_activation_shape(self):
         net = init_weights([2, 1], 0)
         with pytest.raises(ValueError, match=r"activation vector 0 has shape \(3,\), expected \(2,\)"):
-            backprop(net, [np.array([1.0, 2.0, 3.0]), np.array([0.5])], [0.5])
+            backprop(net, [[1.0, 2.0, 3.0], [0.5]], [0.5])
 
     def test_wrong_desired_shape(self):
         net = init_weights([2, 1], 0)
@@ -254,16 +265,21 @@ class TestBackprop:
             backprop(net, acts, [0.5, 0.5])
 
 
-class TestApplyGradients:
+def _descend(net, grads, learning_rate):
     """One descent step, written out as `train` takes it: every weight moves against its derivative."""
+    for units, layer in zip(net.weights, grads):
+        for w, g in zip(units, layer):
+            for i, gi in enumerate(g):
+                w[i] -= learning_rate * gi
 
+
+class TestApplyGradients:
     def test_step_lowers_error(self):
         net = init_weights([2, 3, 1], 12)
         features, desired = [0.2, 0.8], [1.0]
         acts = forward(net, features)
         before = error(acts[-1], desired)
-        for w, g in zip(net.weights, backprop(net, acts, desired)):
-            w -= 0.5 * g
+        _descend(net, backprop(net, acts, desired), 0.5)
         after = error(forward(net, features)[-1], desired)
         assert after < before
 
@@ -289,23 +305,21 @@ class TestTrain:
         a, trace_a = train(a, AND_DATA, epochs=60, learning_rate=0.5, seed=99)
         b, trace_b = train(b, AND_DATA, epochs=60, learning_rate=0.5, seed=99)
         assert trace_a == trace_b
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
+        assert a.weights == b.weights
 
     def test_shuffle_seed_matters(self):
         a = init_weights([2, 3, 1], 8)
         b = init_weights([2, 3, 1], 8)
         a, _ = train(a, AND_DATA, epochs=10, learning_rate=0.5, seed=1)
         b, _ = train(b, AND_DATA, epochs=10, learning_rate=0.5, seed=2)
-        assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
+        assert a.weights != b.weights
 
     def test_zero_epochs_is_identity(self):
         net = init_weights([2, 2, 1], 3)
-        snapshot = [w.copy() for w in net.weights]
+        snapshot = copy.deepcopy(net.weights)
         out, trace = train(net, AND_DATA, epochs=0, learning_rate=0.5, seed=0)
         assert trace == []
-        for w, s in zip(out.weights, snapshot):
-            assert np.array_equal(w, s)
+        assert out.weights == snapshot
 
     def test_negative_epochs_rejected(self):
         net = init_weights([2, 1], 0)
@@ -325,7 +339,7 @@ class TestTrain:
     def test_non_finite_weights_raise_instead_of_being_returned(self):
         for lr in (math.inf, math.nan):
             net = init_weights([2, 4, 1], 0)
-            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite weights after epoch 1"):
+            with pytest.raises(ValueError, match="non-finite weights after epoch 1"):
                 train(net, AND_DATA, epochs=5, learning_rate=lr, seed=0)
 
     def test_sigmoid_overflow_saturates_without_warnings(self):
@@ -333,12 +347,12 @@ class TestTrain:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             net, trace = train(net, AND_DATA, epochs=5, learning_rate=1e300, seed=0)
-        assert all(np.all(np.isfinite(w)) for w in net.weights)
+        assert all(math.isfinite(x) for units in net.weights for w in units for x in w)
         assert len(trace) == 5
 
 
 def _reference_train(net, data, epochs, learning_rate, seed):
-    """`train` written with the public, validated functions, then the descent step inline."""
+    """`train` written with the public, validated functions, then the descent step on the weight lists."""
     rng = np.random.default_rng(seed)
     trace = []
     for _ in range(epochs):
@@ -346,10 +360,13 @@ def _reference_train(net, data, epochs, learning_rate, seed):
         for i in rng.permutation(len(data)):
             activations = forward(net, data[i].features)
             total += error(activations[-1], data[i].desired)
-            for w, g in zip(net.weights, backprop(net, activations, data[i].desired)):
-                w -= learning_rate * g
+            _descend(net, backprop(net, activations, data[i].desired), learning_rate)
         trace.append(total / len(data))
     return net, trace
+
+
+def _bits(net):
+    return [[[x.hex() for x in w] for w in units] for units in net.weights]
 
 
 class TestTrainKernel:
@@ -358,15 +375,14 @@ class TestTrainKernel:
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             data = [
-                TrainingExample(list(rng.uniform(-1.0, 1.0, sizes[0])), list(rng.uniform(0.0, 1.0, sizes[-1])))
+                TrainingExample(rng.uniform(-1.0, 1.0, sizes[0]).tolist(), rng.uniform(0.0, 1.0, sizes[-1]).tolist())
                 for _ in range(int(rng.integers(1, 8)))
             ]
             for epochs in (1, 4, 20):
                 expected, expected_trace = _reference_train(init_weights(sizes, seed), data, epochs, 0.7, seed)
                 got, trace = train(init_weights(sizes, seed), data, epochs, 0.7, seed)
                 assert trace == expected_trace
-                for w, e in zip(got.weights, expected.weights):
-                    assert np.array_equal(w, e)
+                assert _bits(got) == _bits(expected)
 
     @pytest.mark.parametrize("bad, match", [
         (TrainingExample([0.5], [1.0]), r"example 5: features have shape \(1,\), expected \(2,\)"),
@@ -380,21 +396,19 @@ class TestTrainKernel:
     ])
     def test_bad_late_example_raises_before_any_weight_changes(self, bad, match):
         net = init_weights([2, 4, 1], 0)
-        before = [w.copy() for w in net.weights]
+        before = copy.deepcopy(net.weights)
         data = AND_DATA + [TrainingExample([0.5, 0.5], [1.0]), bad]
         with pytest.raises(ValueError, match=match):
             train(net, data, epochs=3, learning_rate=0.5, seed=0)
-        for w, b in zip(net.weights, before):
-            assert np.array_equal(w, b)
+        assert net.weights == before
 
     def test_non_positive_learning_rate_raises_before_any_weight_changes(self):
         for lr in (0.0, -0.5):
             net = init_weights([2, 4, 1], 0)
-            before = [w.copy() for w in net.weights]
+            before = copy.deepcopy(net.weights)
             with pytest.raises(ValueError, match="learning rate must be positive"):
                 train(net, AND_DATA, epochs=3, learning_rate=lr, seed=0)
-            for w, b in zip(net.weights, before):
-                assert np.array_equal(w, b)
+            assert net.weights == before
 
 
 class TestInitWeights:
@@ -403,12 +417,17 @@ class TestInitWeights:
 
     def test_range(self):
         net = init_weights([6, 8, 4], 2)
-        for w in net.weights:
-            assert np.all(w >= -0.5) and np.all(w <= 0.5)
+        assert all(-0.5 <= x <= 0.5 for units in net.weights for w in units for x in w)
 
     def test_shapes_include_bias_row(self):
         net = init_weights([2, 5, 1], 0)
-        assert [w.shape for w in net.weights] == [(3, 5), (6, 1)]
+        assert [[len(w) for w in units] for units in net.weights] == [[3] * 5, [6]]
+
+    def test_units_hold_the_transposed_source_row_draws(self):
+        # The draws keep the model file's row order, so a seed's weights are the ones numpy drew.
+        rng = np.random.default_rng(4)
+        draws = [rng.uniform(-0.5, 0.5, size=(3, 2)), rng.uniform(-0.5, 0.5, size=(3, 1))]
+        assert init_weights([2, 2, 1], 4).weights == [d.T.tolist() for d in draws]
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -432,6 +451,8 @@ class TestModelPersistence:
         assert lines[0] == MODEL_MAGIC
         assert lines[1] == "2 2 1"
         assert len(lines) == 2 + 3 + 3  # header + (2+1) rows + (2+1) rows
+        # row i holds source i's weight into each target unit; the bias row is last
+        assert lines[2:5] == [" ".join(repr(w[i]) for w in net.weights[0]) for i in range(3)]
 
     def test_roundtrip_preserves_behavior(self, tmp_path):
         net = init_weights([2, 2, 1], 42)
@@ -441,9 +462,7 @@ class TestModelPersistence:
         loaded = load_model(path)
         assert loaded == net
         for ex in AND_DATA:
-            a = forward(net, ex.features)[-1]
-            b = forward(loaded, ex.features)[-1]
-            assert np.array_equal(a, b)
+            assert forward(net, ex.features) == forward(loaded, ex.features)
 
     def test_save_is_bit_stable(self, tmp_path):
         net = init_weights([3, 3, 2], 7)
@@ -512,10 +531,9 @@ class TestGradientCheck:
 
     def test_does_not_disturb_weights(self):
         net = init_weights([2, 2, 1], 6)
-        before = [w.copy() for w in net.weights]
+        before = copy.deepcopy(net.weights)
         gradient_check(net, [0.1, -0.4], [0.8])
-        for w, b in zip(net.weights, before):
-            assert np.array_equal(w, b)
+        assert net.weights == before
 
     def test_suite_under_tolerance(self):
         assert gradient_check_suite(seed=123) < GRADIENT_TOLERANCE

@@ -36,7 +36,7 @@ class TestAttachProbabilities:
         cands = [CandidateFeatures("a", 0.25, 0.75), CandidateFeatures("b", 1.0, 0.0)]
         ranked = attach_probabilities(cands, net)
         for cand, res in zip(cands, ranked):
-            expected = float(forward(net, [cand.syntactic, cand.semantic])[-1][0])
+            expected = forward(net, [cand.syntactic, cand.semantic])[-1][0]
             assert res.probability == expected
             assert res.doc_id == cand.doc_id
             assert res.syntactic == cand.syntactic
@@ -58,13 +58,13 @@ class TestAttachProbabilities:
         assert attach_probabilities([], init_weights([2, 1], 0)) == []
 
     def test_zero_weight_network_yields_half(self):
-        net = Network([2, 2, 1], [np.zeros((3, 2)), np.zeros((3, 1))])
+        net = Network([2, 2, 1], [[[0.0] * 3, [0.0] * 3], [[0.0] * 3]])
         cands = [CandidateFeatures("a", 0.1, 0.9), CandidateFeatures("b", 1.0, 0.0)]
         assert [r.probability for r in attach_probabilities(cands, net)] == [0.5, 0.5]
 
     def test_hand_set_network_oracle(self):
         # single unit: sigmoid(1.0 * 0.3 + 1.0 * 0.4 + 0.1) for candidate (1, 1)
-        net = Network([2, 1], [np.array([[0.3], [0.4], [0.1]])])
+        net = Network([2, 1], [[[0.3, 0.4, 0.1]]])
         (res,) = attach_probabilities([CandidateFeatures("d", 1.0, 1.0)], net)
         assert res.probability == pytest.approx(1.0 / (1.0 + math.exp(-0.8)), rel=1e-14)
 

@@ -1,6 +1,5 @@
 """Judgment parsing, example building, and model evaluation."""
 
-import numpy as np
 import pytest
 
 from pswm import (
@@ -23,7 +22,7 @@ from conftest import JUDGMENTS_PATH
 def semantic_only_net(gain: float = 100.0) -> Network:
     # single layer driven by the semantic feature: near-1 when it is set,
     # near-0 when it is not
-    return Network([2, 1], [np.array([[0.0], [gain], [-gain / 2.0]])])
+    return Network([2, 1], [[[0.0, gain, -gain / 2.0]]])
 
 
 class TestParseJudgmentsFile:
@@ -132,14 +131,14 @@ class TestEvaluate:
 
     def test_indifferent_network_predicts_relevant(self, fixture_index, fixture_judgments):
         # all-zero weights give exactly 0.5, which counts as relevant
-        net = Network([2, 1], [np.zeros((3, 1))])
+        net = Network([2, 1], [[[0.0] * 3]])
         report = evaluate(net, fixture_judgments, fixture_index)
         positives = sum(1 for j in fixture_judgments if j.label == 1)
         assert report["accuracy_at_0.5"] == pytest.approx(positives / len(fixture_judgments))
 
     def test_mean_error_definition(self, fixture_index):
         judgments = [Judgment("semantic web mining", "d01", 1)]
-        net = Network([2, 1], [np.zeros((3, 1))])
+        net = Network([2, 1], [[[0.0] * 3]])
         report = evaluate(net, judgments, fixture_index)
         # output is exactly 0.5 against desired 1.0
         assert report["mean_error"] == pytest.approx(0.5 * 0.25)
