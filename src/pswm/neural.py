@@ -27,10 +27,11 @@ which `train`, `forward`, `backprop` and `error` share, and
 `gradient_check` through them; so each arithmetic step is written once,
 training updates ``net.weights`` in place with no copy to convert or write
 back, and it gives the same bits as the public functions called in turn.
-numpy only draws random numbers: it is imported inside `init_weights`,
-`train` (the shuffle) and `gradient_check_suite`, so loading a model,
-searching and evaluating never import it. The code alone fixes the bits,
-not the BLAS or SIMD routines a CPU selects at runtime:
+Random draws (initial weights, the training shuffle, the gradient-check
+suite) come from `rng.Generator`, a plain-Python port of the draws of
+numpy's seeded default generator that gives the same bits, so no part of
+pswm imports numpy. The code alone fixes the bits, not the BLAS or SIMD
+routines a CPU selects at runtime:
 
   - Every sum runs left to right in an explicit loop from 0.0: a unit's
     total input adds its sources in order and its bias last, a source's
@@ -60,6 +61,7 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .fileio import read_lines, write_text_atomic
+from .rng import Generator
 
 MODEL_MAGIC = "PSWM-MODEL v1"
 
@@ -254,8 +256,6 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     epoch. Sigmoid overflow is not reported: it saturates to the correct
     limit.
     """
-    import numpy as np
-
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not data and epochs > 0:
@@ -267,11 +267,11 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     for i, example in enumerate(data):
         features.append(_floats(example.features, n_in, f"example {i}: features"))
         desired.append(_floats(example.desired, n_out, f"example {i}: desired"))
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     trace: list[float] = []
     for epoch in range(1, epochs + 1):
         total = 0.0
-        for i in rng.permutation(len(data)).tolist():
+        for i in rng.permutation(len(data)):
             total += _step(net.weights, features[i], desired[i], learning_rate)
         if not all(math.isfinite(x) for units in net.weights for w in units for x in w):
             raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
@@ -282,15 +282,20 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
 def init_weights(layer_sizes, seed: int) -> Network:
     """Fresh network with weights drawn uniformly from [-0.5, 0.5].
 
-    Draws come from numpy's seeded default generator (PCG64), one source-row
-    matrix per layer pair in layer order (the model file's row order), so
-    equal seeds give identical networks.
+    Draws come from `rng.Generator(seed)`, which gives the bits of numpy's
+    ``default_rng(seed).uniform``: one source-row matrix per layer pair in
+    layer order (the model file's row order), filled row by row, so equal
+    seeds give identical networks. Each layer's draws are allocated before
+    any is drawn, so a layer too large to hold raises MemoryError at once.
+    ValueError if `seed` is negative or not an integer.
     """
-    import numpy as np
-
     sizes = _check_sizes(layer_sizes)
-    rng = np.random.default_rng(seed)
-    return Network(sizes, [rng.uniform(-0.5, 0.5, size=(a + 1, b)).T.tolist() for a, b in zip(sizes, sizes[1:])])
+    rng = Generator(seed)
+    layers = []
+    for a, b in zip(sizes, sizes[1:]):
+        rows = rng.uniform(-0.5, 0.5, (a + 1) * b)
+        layers.append([rows[j::b] for j in range(b)])
+    return Network(sizes, layers)
 
 
 def save_model(net: Network, path) -> None:
@@ -376,15 +381,12 @@ def gradient_check_suite(seed: int) -> float:
     Samples 2- or 3-layer shapes with sizes in 1..5, inputs in [-1, 1], and
     targets in [0, 1], all from one generator seeded with `seed`.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     worst = 0.0
     for _ in range(20):
-        n_layers = int(rng.integers(2, 4))
-        sizes = [int(s) for s in rng.integers(1, 6, size=n_layers)]
-        net = init_weights(sizes, int(rng.integers(0, 2**32)))
-        features = rng.uniform(-1.0, 1.0, size=sizes[0]).tolist()
-        desired = rng.uniform(0.0, 1.0, size=sizes[-1]).tolist()
+        sizes = [rng.integers(1, 6) for _ in range(rng.integers(2, 4))]
+        net = init_weights(sizes, rng.integers(0, 2**32))
+        features = rng.uniform(-1.0, 1.0, sizes[0])
+        desired = rng.uniform(0.0, 1.0, sizes[-1])
         worst = max(worst, gradient_check(net, features, desired))
     return worst

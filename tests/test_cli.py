@@ -464,7 +464,7 @@ def _fresh_imports(args, cwd) -> set[str]:
 
 
 class TestNumpyImport:
-    """numpy only draws random numbers, so the commands that draw none never import it."""
+    """No command imports numpy: the seeded draws are plain Python (`pswm.rng`)."""
 
     def test_import_ingest_search_and_eval_leave_numpy_unloaded(self, tmp_path, ingested, trained):
         runs = [
@@ -478,11 +478,18 @@ class TestNumpyImport:
         for args in runs:
             assert "numpy" not in _fresh_imports(args, tmp_path), args
 
-    def test_train_imports_numpy_for_its_draws(self, tmp_path, ingested):
-        # The same check sees numpy where a command draws random numbers.
-        args = ["-m", "pswm", "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
-                "--model", str(tmp_path / "m"), "--epochs", "1"]
-        assert "numpy" in _fresh_imports(args, tmp_path)
+    def test_train_and_gradcheck_draw_without_numpy(self, tmp_path, ingested):
+        runs = [
+            ["-m", "pswm", "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+             "--model", str(tmp_path / "m"), "--epochs", "1"],
+            ["-m", "pswm", "gradcheck"],
+        ]
+        for args in runs:
+            assert "numpy" not in _fresh_imports(args, tmp_path), args
+
+    def test_the_check_sees_numpy_where_it_is_imported(self, tmp_path):
+        # Positive control: the negative checks above cannot pass because the check sees nothing.
+        assert "numpy" in _fresh_imports(["-c", "import numpy"], tmp_path)
 
 
 class TestUsageErrors:
