@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 
 from .errors import DataError
 
@@ -36,7 +35,7 @@ def write_text_atomic(path, text: str) -> None:
     temporary file is removed and a previous file at `path` is untouched.
     An OSError names `path` and the reason, not the temporary file.
     """
-    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
     try:
         fh = open(tmp, "x", encoding="utf-8")
         try:

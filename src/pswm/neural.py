@@ -28,10 +28,12 @@ which `train`, `forward`, `backprop` and `error` share, and
 training updates ``net.weights`` in place with no copy to convert or write
 back, and it gives the same bits as the public functions called in turn.
 Random draws (initial weights, the training shuffle, the gradient-check
-suite) come from `rng.Generator`, a plain-Python port of the draws of
-numpy's seeded default generator that gives the same bits, so no part of
-pswm imports numpy. The code alone fixes the bits, not the BLAS or SIMD
-routines a CPU selects at runtime:
+suite) come from one standard-library `random.Random(seed)` per call, and
+only through its ``random()`` method, whose sequence for an int seed Python
+keeps across releases and platforms: a float from [low, high) is ``low +
+(high - low) * random()``, and an index below n is ``int(random() * n)``.
+The code alone fixes the bits, not the BLAS or SIMD routines a CPU selects
+at runtime:
 
   - Every sum runs left to right in an explicit loop from 0.0: a unit's
     total input adds its sources in order and its bias last, a source's
@@ -57,11 +59,12 @@ so the file parses back to bit-identical doubles.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 from .errors import DataError
 from .fileio import read_lines, write_text_atomic
-from .rng import Generator
 
 MODEL_MAGIC = "PSWM-MODEL v1"
 
@@ -89,6 +92,32 @@ def _floats(values, size: int, name: str) -> list[float]:
     if not all(math.isfinite(x) for x in v):
         raise ValueError(f"{name} contain non-finite values")
     return v
+
+
+def _seeded(seed) -> random.Random:
+    """A generator seeded with `seed`; ValueError unless `seed` is a non-negative integer.
+
+    `random.Random` itself would seed with abs() of a negative int and hash a string.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
+def _uniform(draw, low: float, high: float, n: int) -> list[float]:
+    """`n` floats ``low + (high - low) * draw()``.
+
+    The list is allocated before the first draw, so a size too large to hold raises MemoryError at once.
+    """
+    out = [0.0] * n
+    span = high - low
+    for i in range(n):
+        out[i] = low + span * draw()
+    return out
 
 
 def _check_sizes(layer_sizes) -> list[int]:
@@ -245,8 +274,10 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
           seed: int) -> tuple[Network, list[float]]:
     """Online training: one descent step per example, reshuffled each epoch.
 
-    The shuffle order is drawn from a generator seeded with `seed`, so the
-    whole run is deterministic given (seed, data order, initial weights).
+    Each epoch shuffles one visiting order in place, Fisher-Yates from the
+    top with ``j = int(random() * (i + 1))``, drawn from a generator seeded
+    with `seed`, so the whole run is deterministic given (seed, data order,
+    initial weights). ValueError if `seed` is negative or not an integer.
     The weights of `net` change in place, and `net` itself is returned
     with one mean-error entry per epoch, the error being measured on each
     example's pre-update forward pass.
@@ -267,11 +298,15 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     for i, example in enumerate(data):
         features.append(_floats(example.features, n_in, f"example {i}: features"))
         desired.append(_floats(example.desired, n_out, f"example {i}: desired"))
-    rng = Generator(seed)
+    draw = _seeded(seed).random
+    order = list(range(len(data)))
     trace: list[float] = []
     for epoch in range(1, epochs + 1):
+        for i in range(len(order) - 1, 0, -1):
+            j = int(draw() * (i + 1))
+            order[i], order[j] = order[j], order[i]
         total = 0.0
-        for i in rng.permutation(len(data)):
+        for i in order:
             total += _step(net.weights, features[i], desired[i], learning_rate)
         if not all(math.isfinite(x) for units in net.weights for w in units for x in w):
             raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
@@ -280,20 +315,20 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
 
 
 def init_weights(layer_sizes, seed: int) -> Network:
-    """Fresh network with weights drawn uniformly from [-0.5, 0.5].
+    """Fresh network with weights drawn uniformly from [-0.5, 0.5).
 
-    Draws come from `rng.Generator(seed)`, which gives the bits of numpy's
-    ``default_rng(seed).uniform``: one source-row matrix per layer pair in
-    layer order (the model file's row order), filled row by row, so equal
-    seeds give identical networks. Each layer's draws are allocated before
-    any is drawn, so a layer too large to hold raises MemoryError at once.
-    ValueError if `seed` is negative or not an integer.
+    Each weight is ``-0.5 + random()`` from one generator seeded with
+    `seed`, drawn layer by layer in the model file's row order (source rows
+    ascending, bias row last), so equal seeds give identical networks. Each
+    layer's draws are allocated before any is drawn, so a layer too large
+    to hold raises MemoryError at once. ValueError if `seed` is negative or
+    not an integer.
     """
     sizes = _check_sizes(layer_sizes)
-    rng = Generator(seed)
+    draw = _seeded(seed).random
     layers = []
     for a, b in zip(sizes, sizes[1:]):
-        rows = rng.uniform(-0.5, 0.5, (a + 1) * b)
+        rows = _uniform(draw, -0.5, 0.5, (a + 1) * b)
         layers.append([rows[j::b] for j in range(b)])
     return Network(sizes, layers)
 
@@ -378,15 +413,17 @@ def gradient_check(net: Network, features, desired, h: float = 1e-4) -> float:
 def gradient_check_suite(seed: int) -> float:
     """Max gradient-check mismatch over 20 random small networks.
 
-    Samples 2- or 3-layer shapes with sizes in 1..5, inputs in [-1, 1], and
-    targets in [0, 1], all from one generator seeded with `seed`.
+    Each network draws, from one generator seeded with `seed`: its layer
+    count (2 or 3), its layer sizes (1..5), its `init_weights` seed (below
+    2**32), its inputs from [-1, 1) and its targets from [0, 1). ValueError
+    if `seed` is negative or not an integer.
     """
-    rng = Generator(seed)
+    draw = _seeded(seed).random
     worst = 0.0
     for _ in range(20):
-        sizes = [rng.integers(1, 6) for _ in range(rng.integers(2, 4))]
-        net = init_weights(sizes, rng.integers(0, 2**32))
-        features = rng.uniform(-1.0, 1.0, sizes[0])
-        desired = rng.uniform(0.0, 1.0, sizes[-1])
+        sizes = [1 + int(draw() * 5) for _ in range(2 + int(draw() * 2))]
+        net = init_weights(sizes, int(draw() * 2**32))
+        features = _uniform(draw, -1.0, 1.0, sizes[0])
+        desired = _uniform(draw, 0.0, 1.0, sizes[-1])
         worst = max(worst, gradient_check(net, features, desired))
     return worst

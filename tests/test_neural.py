@@ -2,6 +2,7 @@
 
 import copy
 import math
+import random
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from pswm import (
     sigmoid,
     train,
 )
+from pswm import neural
 from pswm.neural import GRADIENT_TOLERANCE, MODEL_MAGIC
 
 
@@ -352,12 +354,19 @@ class TestTrain:
 
 
 def _reference_train(net, data, epochs, learning_rate, seed):
-    """`train` written with the public, validated functions, then the descent step on the weight lists."""
-    rng = np.random.default_rng(seed)
+    """`train` written with the public, validated functions, then the descent step on the weight lists.
+
+    Each epoch shuffles one order in place, Fisher-Yates from the top on ``random()`` draws.
+    """
+    draw = random.Random(seed).random
+    order = list(range(len(data)))
     trace = []
     for _ in range(epochs):
+        for i in range(len(order) - 1, 0, -1):
+            j = int(draw() * (i + 1))
+            order[i], order[j] = order[j], order[i]
         total = 0.0
-        for i in rng.permutation(len(data)):
+        for i in order:
             activations = forward(net, data[i].features)
             total += error(activations[-1], data[i].desired)
             _descend(net, backprop(net, activations, data[i].desired), learning_rate)
@@ -424,16 +433,87 @@ class TestInitWeights:
         assert [[len(w) for w in units] for units in net.weights] == [[3] * 5, [6]]
 
     def test_units_hold_the_transposed_source_row_draws(self):
-        # The draws keep the model file's row order, so a seed's weights are the ones numpy drew.
-        rng = np.random.default_rng(4)
-        draws = [rng.uniform(-0.5, 0.5, size=(3, 2)), rng.uniform(-0.5, 0.5, size=(3, 1))]
-        assert init_weights([2, 2, 1], 4).weights == [d.T.tolist() for d in draws]
+        # The draws run in the model file's row order: source rows ascending, bias row last.
+        draw = random.Random(4).random
+        rows = [[[-0.5 + draw() for _ in range(b)] for _ in range(a + 1)] for a, b in [(2, 2), (2, 1)]]
+        assert init_weights([2, 2, 1], 4).weights == [[list(unit) for unit in zip(*r)] for r in rows]
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             init_weights([3], 0)
         with pytest.raises(ValueError):
             init_weights([2, 0, 1], 0)
+
+    def test_layer_too_large_to_hold_fails_before_drawing(self):
+        with pytest.raises(MemoryError):
+            init_weights([1, 10**15, 1], 0)
+
+
+class TestSeededDraws:
+    # Literal values, so a Python release whose random() drew otherwise would fail here.
+    # Per seed: init_weights([2, 2, 1], seed).weights, the first epoch's order of ten
+    # examples, and gradient_check_suite's first three (sizes, network seed) draws.
+    PINNED = {
+        0: (
+            [[[0.3444218515250481, -0.079428419169155, 0.01127472136860852],
+              [0.2579544029403025, -0.24108324970703665, -0.09506586254958571]],
+             [[0.2837985890347726, -0.19668727392107255, -0.02340304584764419]]],
+            [9, 4, 0, 5, 2, 7, 1, 3, 6, 8],
+            [([4, 3, 2], 2195908207), ([2, 4, 4], 1075916543), ([4, 3, 1], 1864753834)],
+        ),
+        4: (
+            [[[-0.2639519102625655, -0.10394175738931899, -0.4334849043204101],
+              [-0.3968339657692842, -0.3450277291975897, -0.09840898551492516]],
+             [[0.4179550430877189, 0.3004523514958085, 0.26516260250543844]]],
+            [5, 6, 4, 7, 9, 8, 1, 3, 0, 2],
+            [([1, 2], 665600834), ([4, 2, 3], 1188342904), ([2, 4], 3143463838)],
+        ),
+        42: (
+            [[[0.13942679845788375, -0.22497068163088074, 0.2364712141640124],
+              [-0.47498924477733306, -0.27678926185117725, 0.1766994874229113]],
+             [[0.3921795677048454, -0.41306116737058385, -0.07807818031472957]]],
+            [9, 7, 8, 5, 3, 4, 1, 2, 0, 6],
+            [([1, 2, 2], 3163119779), ([1, 2], 2170484435), ([2, 3, 5], 27911960)],
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_draws(self, seed, monkeypatch):
+        weights, order, networks = self.PINNED[seed]
+        assert init_weights([2, 2, 1], seed).weights == weights
+
+        visited = []
+        step = neural._step
+
+        def recording_step(layers, inputs, desired, learning_rate):
+            visited.append(int(inputs[0]))
+            return step(layers, inputs, desired, learning_rate)
+
+        monkeypatch.setattr(neural, "_step", recording_step)
+        data = [TrainingExample([float(k), 0.0], [0.0]) for k in range(10)]
+        train(init_weights([2, 2, 1], 0), data, epochs=1, learning_rate=0.5, seed=seed)
+        assert visited == order
+
+        drawn = []
+
+        def recording_init(sizes, network_seed):
+            drawn.append((sizes, network_seed))
+            return init_weights(sizes, network_seed)
+
+        monkeypatch.setattr(neural, "init_weights", recording_init)
+        gradient_check_suite(seed)
+        assert drawn[:3] == networks
+
+    @pytest.mark.parametrize("call", [
+        lambda seed: init_weights([2, 2, 1], seed),
+        lambda seed: train(init_weights([2, 2, 1], 0), AND_DATA, epochs=1, learning_rate=0.5, seed=seed),
+        gradient_check_suite,
+    ], ids=["init_weights", "train", "gradient_check_suite"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_int(self, seed, call):
+        # random.Random alone would seed with abs(-1) and hash "3".
+        with pytest.raises(ValueError, match="seed"):
+            call(seed)
 
 
 class TestModelPersistence:
