@@ -6,7 +6,8 @@ Corpus files are UTF-8 with one JSON record per line:
      "url": "http://...", "title": "...",
      "meta": {"keywords": ["web", "mining"], "concepts": {"search": 0.8}}}
 
-`id` and `body` are required; `url`, `title`, and `meta` are optional.
+`id` and `body` are required; `url`, `title`, and `meta` are optional. An
+`id` may not hold a TAB, CR or LF, which would split its judgments line.
 
 Index files (format v3) are UTF-8 text. Line 1 is the magic
 ``PSWM-INDEX v3``, line 2 is ``{"doc_count": N}`` (so truncation shows),
@@ -37,6 +38,8 @@ from .query import tokenize
 INDEX_MAGIC = "PSWM-INDEX v3"
 _OLD_INDEX_MAGICS = ("PSWM-INDEX v1", "PSWM-INDEX v2")
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+# A judgments line splits on these, so no id may hold one.
+_ID_BREAK = re.compile("[\t\r\n]")
 
 
 @dataclass
@@ -173,7 +176,10 @@ def _document(line: str, line_no: int, doc_id, url, title, body, keywords, conce
         raise DataError(f"line {line_no}: {exc}") from exc
     # No UTF-8 writer can encode a lone surrogate. The line was decoded as strict UTF-8,
     # so only a \u escape can have put one in a string: a line without a backslash has none.
+    # Strict JSON holds no raw control character either, so the same holds for an id's TAB, CR or LF.
     if "\\" in line:
+        if _ID_BREAK.search(doc_id):
+            raise DataError(f"line {line_no}: 'id' holds a TAB, CR or LF: {doc_id!r}")
         for text in (doc_id, body, url, title, *meta.keywords, *meta.concepts):
             if not text.isascii() and (surrogate := _LONE_SURROGATE.search(text)):
                 raise DataError(f"line {line_no}: string holds a lone surrogate {surrogate.group()!r}")
@@ -239,7 +245,13 @@ _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separator
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically."""
+    """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically.
+
+    Raises ValueError, writing nothing, if an id holds a TAB, CR or LF, which `load_index` rejects.
+    """
+    if _ID_BREAK.search("".join(index.docs)):
+        bad = next(doc_id for doc_id in index.docs if _ID_BREAK.search(doc_id))
+        raise ValueError(f"document id {bad!r} holds a TAB, CR or LF")
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
     for doc_id in sorted(index.docs):
         doc = index.docs[doc_id]

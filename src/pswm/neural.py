@@ -62,6 +62,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DataError
 from .fileio import read_lines, write_text_atomic
@@ -345,8 +346,10 @@ def save_model(net: Network, path) -> None:
 def load_model(path) -> Network:
     """Read a model written by `save_model`.
 
-    Raises DataError on a bad magic line, malformed sizes, a row count or
-    row width that disagrees with the sizes, or unparseable weights.
+    After its magic line the file holds a sizes line of at least two
+    positive integers, then one row per source unit plus bias, each holding
+    one finite number per target unit; any other file raises DataError
+    naming its line (line 2 for the sizes).
     """
     lines = read_lines(path, "model")
     if not lines or lines[0] != MODEL_MAGIC:
@@ -354,35 +357,20 @@ def load_model(path) -> Network:
     if len(lines) < 2:
         raise DataError("truncated model file: missing layer sizes")
     try:
-        sizes = [int(tok) for tok in lines[1].split()]
+        sizes = _check_sizes(lines[1].split())
     except ValueError as exc:
         raise DataError(f"line 2: invalid layer sizes: {lines[1]!r}") from exc
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise DataError(f"line 2: invalid layer sizes: {sizes}")
-
     expected_rows = sum(s + 1 for s in sizes[:-1])
-    body = lines[2:]
-    if len(body) != expected_rows:
-        raise DataError(f"model file has {len(body)} weight rows, expected {expected_rows}")
-
+    if len(lines) - 2 != expected_rows:
+        raise DataError(f"model file has {len(lines) - 2} weight rows, expected {expected_rows}")
+    rows = enumerate(lines[2:], start=3)
     weights = []
-    pos = 0
-    for src, tgt in zip(sizes, sizes[1:]):
-        rows = []
-        for _ in range(src + 1):
-            parts = body[pos].split()
-            line_no = pos + 3
-            if len(parts) != tgt:
-                raise DataError(f"line {line_no}: expected {tgt} weights, got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DataError(f"line {line_no}: invalid weight value") from exc
-            if not all(math.isfinite(v) for v in row):
-                raise DataError(f"line {line_no}: non-finite weight value")
-            rows.append(row)
-            pos += 1
-        weights.append(zip(*rows))
+    try:
+        for src, tgt in zip(sizes, sizes[1:]):
+            layer = [_floats(line.split(), tgt, f"line {n}: weights") for n, line in islice(rows, src + 1)]
+            weights.append(zip(*layer))
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     return Network(sizes, weights)
 
 

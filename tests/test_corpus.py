@@ -160,6 +160,13 @@ class TestParseCorpusFile:
         with pytest.raises(DataError, match="cannot read"):
             parse_corpus_file(path)
 
+    @pytest.mark.parametrize("escaped_id", [r"\t", r"a\rb", r"\n"])
+    def test_id_with_tab_or_line_break_names_line(self, tmp_path, escaped_id):
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{{"id": "a", "body": "x"}}\n{{"id": "{escaped_id}", "body": "y"}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: 'id' holds a TAB, CR or LF"):
+            parse_corpus_file(path)
+
 
 class TestBuildIndex:
     def test_postings_with_term_frequencies(self):
@@ -348,6 +355,20 @@ class TestIndexPersistence:
         self.write_lines(path, [*lines[:2], lines[2].replace('["a"', '["a\\ud800"'), lines[3]])
         with pytest.raises(DataError, match="line 3: string holds a lone surrogate"):
             load_index(path)
+
+    @pytest.mark.parametrize("escaped_id", [r"\t", r"a\rb", r"\n"])
+    def test_id_with_tab_or_line_break_names_line(self, tmp_path, escaped_id):
+        path, lines = self.saved_lines(tmp_path, "a", "b")
+        self.write_lines(path, [*lines[:3], lines[3].replace('["b"', f'["b{escaped_id}"')])
+        with pytest.raises(DataError, match="line 4: 'id' holds a TAB, CR or LF"):
+            load_index(path)
+
+    @pytest.mark.parametrize("doc_id", ["\t", "a\rb", "\n"])
+    def test_save_refuses_an_id_with_tab_or_line_break(self, tmp_path, doc_id):
+        path = tmp_path / "idx"
+        with pytest.raises(ValueError, match="holds a TAB, CR or LF"):
+            save_index(build_index([Document(id="a", body="x"), Document(id=doc_id, body="y")]), path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_deeply_nested_record_is_data_error(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a")

@@ -5,7 +5,8 @@ with the brute-force postings and answers every token lookup with them,
 lookups tokenize fewer than twice the doc count before the full build,
 `ingest` prints the brute-force distinct-token count, `analyze`,
 `attach_probabilities`, `MetaRecord.from_raw` and the record decoder equal
-their plain definitions, and the CLI never raises.
+their plain definitions, the CLI never raises, and every artifact a command
+writes, the next command accepts.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from pswm import (
@@ -167,6 +168,11 @@ def _doc_text(max_size: int, min_size: int = 0) -> st.SearchStrategy[str]:
     return st.text(_chars + "\u2029\x85", min_size=min_size, max_size=max_size)
 
 
+def _splits_a_judgment(doc_id: str) -> bool:
+    """Whether `doc_id` holds a TAB, CR or LF, which no judgments line can name: no index may hold it."""
+    return any(c in doc_id for c in "\t\r\n")
+
+
 _documents = st.lists(
     st.builds(
         Document, id=_doc_text(3, min_size=1), url=_doc_text(3), title=_doc_text(3), body=_doc_text(20),
@@ -184,6 +190,10 @@ def test_saved_index_loads_equal_to_the_built_one(scratch):
     @given(docs=_documents)
     def check(docs):
         index = build_index(docs)
+        if any(_splits_a_judgment(doc.id) for doc in docs):
+            with pytest.raises(ValueError, match="holds a TAB, CR or LF"):
+                save_index(index, path)
+            return
         save_index(index, path)
         assert load_index(path) == index
 
@@ -215,8 +225,14 @@ def test_postings_equal_brute_force_when_built_and_when_loaded(scratch):
         expected = _brute_force_postings(docs)
         # Every token, an absent one, and the strings that are substrings of a token but may be no token.
         probes = [*expected, "qq", *{part for t in expected for part in (t[1:], t[:-1]) if part}]
-        save_index(build_index(docs), path)
-        for index in (build_index(docs), load_index(path)):
+        indexes = [build_index(docs)]
+        if any(_splits_a_judgment(doc.id) for doc in docs):
+            with pytest.raises(ValueError, match="holds a TAB, CR or LF"):
+                save_index(indexes[0], path)
+        else:
+            save_index(indexes[0], path)
+            indexes.append(load_index(path))
+        for index in indexes:
             for token in probes:
                 # A first lookup on a nonempty index, and often its repeat, take the per-token path;
                 # later ones reach the switch to `postings`.
@@ -259,8 +275,12 @@ def test_ingest_counts_the_brute_force_tokens(scratch):
     def check(docs):
         corpus_path.write_text("".join(json.dumps({"id": d.id, "body": d.body}) + "\n" for d in docs), encoding="utf-8")
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)]) == 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)])
+        if any(_splits_a_judgment(d.id) for d in docs):
+            assert code == 2
+            return
+        assert code == 0
         count = len(_brute_force_postings(docs))
         assert out.getvalue().splitlines()[0] == f"ingested {len(docs)} documents, {count} distinct tokens"
         assert len(load_index(index_path).postings) == count
@@ -490,3 +510,78 @@ def test_main_returns_an_exit_code_and_never_raises(inputs, argv):
         finally:
             os.chdir(cwd)
     assert isinstance(code, int)
+
+
+# Mostly ids that any judgments line can name; one in four from `_chars` and the line ends, LF too.
+_chain_ids = _mostly(st.text("aB19\u00e9\u2028 ", min_size=1, max_size=3),
+                     st.text(_chars + "\n\u2029\x85", min_size=1, max_size=3))
+_chain_records = st.fixed_dictionaries(
+    {"id": _chain_ids, "body": _phrase(0) | _doc_text(12)},
+    optional={
+        "url": _doc_text(3),
+        "title": _doc_text(3),
+        "meta": st.fixed_dictionaries({}, optional={
+            "keywords": st.lists(_tags | _doc_text(3), max_size=3),
+            "concepts": st.dictionaries(_tags, st.floats(0.0, 1.0), max_size=2),
+        }),
+    },
+)
+# Values no record may hold: lone surrogates (escaped by json.dumps, or raw and so not UTF-8), huge ints, NaN.
+_odd_fields = st.sampled_from([
+    ("id", "a\ud800"), ("body", "web \udfff"), ("title", 10**400), ("body", math.nan),
+    ("meta", {"keywords": ["\udc00x"]}), ("meta", {"concepts": {"web": math.nan}}),
+    ("meta", {"concepts": {"web": 10**400}}),
+]) | st.tuples(st.sampled_from(["id", "body", "url", "title", "meta"]), _json)
+
+
+@st.composite
+def _chain_corpora(draw):
+    """Records, mostly valid; one corpus in four has one field replaced by an odd value."""
+    records = draw(st.lists(_chain_records, max_size=4, unique_by=lambda record: record["id"]))
+    if records and draw(_mostly(st.just(False), st.just(True))):
+        key, value = draw(_odd_fields)
+        draw(st.sampled_from(records))[key] = value
+    return records
+
+
+def _run(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_chain_corpora(), ensure_ascii=st.booleans(), data=st.data())
+def test_every_artifact_a_command_writes_the_next_command_accepts(records, ensure_ascii, data):
+    """ingest, then train on its index, then search and eval on both: each accepts what the one before wrote.
+
+    `--hypothesis-show-statistics` reports how many examples ran the whole chain.
+    """
+    text = "".join(json.dumps(record, ensure_ascii=ensure_ascii) + "\n" for record in records)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            # Raw surrogates are no UTF-8, so such a corpus cannot be read.
+            Path("corpus").write_bytes(text.encode("utf-8", "surrogatepass"))
+            code = _run("ingest", "--corpus", "corpus", "--index", "idx")
+            assert code in (0, 2)
+            if code == 2:
+                assert not Path("idx").exists()
+                event("ingest refused the corpus")
+                return
+            if not records:
+                event("empty corpus")
+                return
+            ids = [record["id"] for record in records]
+            judgments = data.draw(st.lists(st.tuples(_phrase(1), st.sampled_from(ids), st.sampled_from("01")),
+                                           min_size=1, max_size=4))
+            Path("judgments").write_text("".join("\t".join(j) + "\n" for j in judgments), encoding="utf-8")
+            assert _run("train", "--index", "idx", "--judgments", "judgments", "--model", "net",
+                        "--epochs", "1", "--hidden", "2") == 0
+            query = data.draw(_phrase(1))
+            assert _run("search", query, "--index", "idx", "--model", "net", "--cutoff", "0") == 0
+            assert _run("search", query, "--index", "idx", "--model", "net", "--format", "machine") == 0
+            assert _run("eval", "--index", "idx", "--model", "net", "--judgments", "judgments") == 0
+            event("ran the whole chain")
+        finally:
+            os.chdir(cwd)

@@ -560,13 +560,20 @@ class TestModelPersistence:
     def test_garbled_sizes(self, tmp_path):
         path = tmp_path / "model"
         path.write_text(f"{MODEL_MAGIC}\ntwo one\n", encoding="utf-8")
-        with pytest.raises(DataError, match="layer sizes"):
+        with pytest.raises(DataError, match="^line 2: invalid layer sizes"):
             load_model(path)
 
     def test_single_size_rejected(self, tmp_path):
         path = tmp_path / "model"
         path.write_text(f"{MODEL_MAGIC}\n3\n", encoding="utf-8")
-        with pytest.raises(DataError, match="layer sizes"):
+        with pytest.raises(DataError, match="^line 2: invalid layer sizes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("sizes", ["2 0 1", "2 x 1"])
+    def test_bad_size_among_sizes_names_line_2(self, tmp_path, sizes):
+        path = tmp_path / "model"
+        path.write_text(f"{MODEL_MAGIC}\n{sizes}\n" + "0.5 0.5\n" * 5, encoding="utf-8")
+        with pytest.raises(DataError, match="^line 2: invalid layer sizes"):
             load_model(path)
 
     def test_missing_rows(self, tmp_path):
@@ -575,22 +582,16 @@ class TestModelPersistence:
         with pytest.raises(DataError, match="weight rows"):
             load_model(path)
 
-    def test_wrong_row_width(self, tmp_path):
+    @pytest.mark.parametrize("row, match", [
+        ("0.5 0.5", r"shape \(2,\), expected \(1,\)"),
+        ("abc", "are not numbers"),
+        ("inf", "non-finite"),
+        ("nan", "non-finite"),
+    ], ids=["wrong-width", "not-a-number", "inf", "nan"])
+    def test_bad_weight_row_names_its_line(self, tmp_path, row, match):
         path = tmp_path / "model"
-        path.write_text(f"{MODEL_MAGIC}\n1 1\n0.5 0.5\n0.1\n", encoding="utf-8")
-        with pytest.raises(DataError, match="expected 1 weights"):
-            load_model(path)
-
-    def test_unparseable_weight(self, tmp_path):
-        path = tmp_path / "model"
-        path.write_text(f"{MODEL_MAGIC}\n1 1\n0.5\nabc\n", encoding="utf-8")
-        with pytest.raises(DataError, match="invalid weight"):
-            load_model(path)
-
-    def test_non_finite_weight(self, tmp_path):
-        path = tmp_path / "model"
-        path.write_text(f"{MODEL_MAGIC}\n1 1\n0.5\ninf\n", encoding="utf-8")
-        with pytest.raises(DataError, match="non-finite"):
+        path.write_text(f"{MODEL_MAGIC}\n1 1\n0.5\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^line 4: weights .*{match}"):
             load_model(path)
 
     def test_missing_file(self, tmp_path):
