@@ -247,7 +247,8 @@ _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separator
 def save_index(index: InvertedIndex, path) -> None:
     """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically.
 
-    Raises ValueError, writing nothing, if an id holds a TAB, CR or LF, which `load_index` rejects.
+    Raises ValueError, writing nothing, if an id holds a TAB, CR or LF, which `load_index` rejects,
+    or if a `docs` key is not its document's id: records hold ``doc.id`` in key order.
     """
     if _ID_BREAK.search("".join(index.docs)):
         bad = next(doc_id for doc_id in index.docs if _ID_BREAK.search(doc_id))
@@ -255,6 +256,8 @@ def save_index(index: InvertedIndex, path) -> None:
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
     for doc_id in sorted(index.docs):
         doc = index.docs[doc_id]
+        if doc.id != doc_id:
+            raise ValueError(f"docs key {doc_id!r} differs from its document's id {doc.id!r}")
         lines.append(_RECORD_ENCODER.encode(
             [doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts]
         ))

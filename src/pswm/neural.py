@@ -27,13 +27,15 @@ which `train`, `forward`, `backprop` and `error` share, and
 `gradient_check` through them; so each arithmetic step is written once,
 training updates ``net.weights`` in place with no copy to convert or write
 back, and it gives the same bits as the public functions called in turn.
+`Network`, `train`, `backprop` and `load_model` check each vector through
+`_floats`. `forward` and `error` check only lengths: search and eval call
+them once per candidate and judgment, where `_floats` measurably slows them.
 Random draws (initial weights, the training shuffle, the gradient-check
 suite) come from one standard-library `random.Random(seed)` per call, and
 only through its ``random()`` method, whose sequence for an int seed Python
 keeps across releases and platforms: a float from [low, high) is ``low +
 (high - low) * random()``, and an index below n is ``int(random() * n)``.
-The code alone fixes the bits, not the BLAS or SIMD routines a CPU selects
-at runtime:
+The code alone fixes the bits, whatever the CPU:
 
   - Every sum runs left to right in an explicit loop from 0.0: a unit's
     total input adds its sources in order and its bias last, a source's
@@ -61,7 +63,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import DataError
@@ -129,18 +131,20 @@ def _check_sizes(layer_sizes) -> list[int]:
     return sizes
 
 
+@dataclass
 class Network:
     """Layered sigmoid network: layer sizes plus one weight layer per layer pair.
 
     ``weights[k][j]`` is the list of float incoming weights of unit j in
     layer k + 1: ``layer_sizes[k]`` source weights, then the bias weight.
-    The kernel reads and updates these lists as they are; nothing converts
-    them.
     """
 
-    def __init__(self, layer_sizes, weights):
-        sizes = _check_sizes(layer_sizes)
-        weights = list(weights)
+    layer_sizes: list[int]
+    weights: list[list[list[float]]] = field(repr=False)
+
+    def __post_init__(self):
+        sizes = _check_sizes(self.layer_sizes)
+        weights = list(self.weights)
         if len(weights) != len(sizes) - 1:
             raise ValueError(f"expected {len(sizes) - 1} weight matrices, got {len(weights)}")
         self.layer_sizes = sizes
@@ -151,14 +155,6 @@ class Network:
                 raise ValueError(f"weight matrix {k} has {len(units)} units, expected {sizes[k + 1]}")
             self.weights.append([_floats(w, sizes[k] + 1, f"weight matrix {k} unit {j}: weights")
                                  for j, w in enumerate(units)])
-
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return self.layer_sizes == other.layer_sizes and self.weights == other.weights
-
-    def __repr__(self):
-        return f"Network(layer_sizes={self.layer_sizes})"
 
 
 @dataclass
@@ -235,7 +231,7 @@ def forward(net: Network, features) -> list[list[float]]:
     (bias unit included at 1.0) with its incoming weights, squashed by the
     sigmoid.
     """
-    x = [float(v) for v in features]
+    x = [float(v) for v in features]  # not `_floats`: ranking calls this once per candidate
     if len(x) != net.layer_sizes[0]:
         raise ValueError(f"input length ({len(x)},) does not match input layer size {net.layer_sizes[0]}")
     return _forward(net.weights, x)
@@ -243,7 +239,7 @@ def forward(net: Network, features) -> list[list[float]]:
 
 def error(output, desired) -> float:
     """Half the summed squared difference between output and desired vectors."""
-    if len(output) != len(desired):
+    if len(output) != len(desired):  # not `_floats`: eval calls this once per judgment
         raise ValueError(f"output shape ({len(output)},) does not match desired shape ({len(desired)},)")
     return _half_square([float(y) - float(d) for y, d in zip(output, desired)])
 
@@ -257,16 +253,11 @@ def backprop(net: Network, activations, desired) -> list[list[list[float]]]:
     values. The result is laid out like ``net.weights``: entry [k][j][i] is
     the derivative of ``net.weights[k][j][i]``.
     """
-    n_layers = len(net.layer_sizes)
-    if len(activations) != n_layers:
-        raise ValueError(f"expected {n_layers} activation vectors, got {len(activations)}")
-    acts = [[float(v) for v in a] for a in activations]
-    for k, a in enumerate(acts):
-        if len(a) != net.layer_sizes[k]:
-            raise ValueError(f"activation vector {k} has shape ({len(a)},), expected ({net.layer_sizes[k]},)")
-    d = [float(v) for v in desired]
-    if len(d) != len(acts[-1]):
-        raise ValueError(f"desired shape ({len(d)},) does not match output shape ({len(acts[-1])},)")
+    if len(activations) != len(net.layer_sizes):
+        raise ValueError(f"expected {len(net.layer_sizes)} activation vectors, got {len(activations)}")
+    acts = [_floats(a, n, f"activation vector {k}: activities")
+            for k, (a, n) in enumerate(zip(activations, net.layer_sizes))]
+    d = _floats(desired, net.layer_sizes[-1], "desired values")
     eis = _backward(net.weights, acts, [y - t for y, t in zip(acts[-1], d)])
     return [[[a * e for a in src] + [e] for e in ei] for src, ei in zip(acts, eis)]
 

@@ -370,6 +370,15 @@ class TestIndexPersistence:
             save_index(build_index([Document(id="a", body="x"), Document(id=doc_id, body="y")]), path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("docs", [
+        {"a": Document(id="a\tb", body="x")},  # the id holds a TAB that the key does not
+        {"a": Document(id="z", body="x"), "b": Document(id="b", body="y")},  # key order is not id order
+    ])
+    def test_save_refuses_a_key_that_is_not_its_documents_id(self, tmp_path, docs):
+        with pytest.raises(ValueError, match="docs key 'a' differs from its document's id"):
+            save_index(InvertedIndex(docs=docs), tmp_path / "idx")
+        assert list(tmp_path.iterdir()) == []
+
     def test_deeply_nested_record_is_data_error(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a")
         self.write_lines(path, [*lines[:2], "[" * 100_000 + "]" * 100_000])

@@ -92,6 +92,14 @@ class TestNetwork:
         assert a == b
         assert a != c
 
+    def test_unequal_to_other_types(self):
+        net = init_weights([2, 1], 0)
+        assert net != "Network(layer_sizes=[2, 1])"
+        assert net != (net.layer_sizes, net.weights)
+
+    def test_repr_shows_sizes_only(self):
+        assert repr(init_weights([2, 4, 1], 0)) == "Network(layer_sizes=[2, 4, 1])"
+
 
 class TestForward:
     def test_single_connection_oracle(self):
@@ -257,7 +265,7 @@ class TestBackprop:
 
     def test_wrong_activation_shape(self):
         net = init_weights([2, 1], 0)
-        with pytest.raises(ValueError, match=r"activation vector 0 has shape \(3,\), expected \(2,\)"):
+        with pytest.raises(ValueError, match=r"activation vector 0: activities have shape \(3,\), expected \(2,\)"):
             backprop(net, [[1.0, 2.0, 3.0], [0.5]], [0.5])
 
     def test_wrong_desired_shape(self):
@@ -265,6 +273,23 @@ class TestBackprop:
         acts = forward(net, [0.1, 0.2])
         with pytest.raises(ValueError, match="desired"):
             backprop(net, acts, [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where, message", [
+        (0, r"activation vector 0: activities contain non-finite values"),
+        (1, r"activation vector 1: activities contain non-finite values"),
+        ("desired", r"desired values contain non-finite values"),
+    ])
+    def test_non_finite_rejected(self, bad, where, message):
+        net = init_weights([2, 1], 0)
+        acts = forward(net, [0.1, 0.2])
+        desired = [0.5]
+        if where == "desired":
+            desired = [bad]
+        else:
+            acts[where][0] = bad
+        with pytest.raises(ValueError, match=message):
+            backprop(net, acts, desired)
 
 
 def _descend(net, grads, learning_rate):
