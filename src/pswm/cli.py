@@ -29,15 +29,6 @@ DEFAULT_SEED = 42
 DEFAULT_HIDDEN = 4
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; we reserve 2 for data errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -70,10 +61,9 @@ def cmd_ingest(args) -> int:
     docs = corpus.parse_corpus_file(args.corpus)
     index = corpus.build_index(docs)
     corpus.save_index(index, args.index)
-    # One tokenize per 512 bodies joined by a space, which no token spans; the chunks bound the token lists.
     distinct: set[str] = set()
-    for start in range(0, len(docs), 512):
-        distinct.update(tokenize(" ".join(doc.body for doc in docs[start:start + 512])))
+    for doc in docs:
+        distinct.update(tokenize(doc.body))
     print(f"ingested {index.doc_count} documents, {len(distinct)} distinct tokens")
     print(f"saved index -> {args.index}")
     return EXIT_OK
@@ -144,7 +134,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="pswm", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="pswm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse a corpus file and build + save the index")
@@ -188,8 +178,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0; our usage errors exit 1
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 on bad usage, but pswm reserves 2 for data errors
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (DataError, OSError) as exc:

@@ -247,17 +247,16 @@ _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separator
 def save_index(index: InvertedIndex, path) -> None:
     """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically.
 
-    Raises ValueError, writing nothing, if an id holds a TAB, CR or LF, which `load_index` rejects,
-    or if a `docs` key is not its document's id: records hold ``doc.id`` in key order.
+    Raises ValueError, writing nothing, naming the first `docs` key in sorted order that is not its
+    document's id (records hold ``doc.id`` in key order) or holds a TAB, CR or LF (`load_index` rejects it).
     """
-    if _ID_BREAK.search("".join(index.docs)):
-        bad = next(doc_id for doc_id in index.docs if _ID_BREAK.search(doc_id))
-        raise ValueError(f"document id {bad!r} holds a TAB, CR or LF")
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
     for doc_id in sorted(index.docs):
         doc = index.docs[doc_id]
         if doc.id != doc_id:
             raise ValueError(f"docs key {doc_id!r} differs from its document's id {doc.id!r}")
+        if _ID_BREAK.search(doc_id):
+            raise ValueError(f"document id {doc_id!r} holds a TAB, CR or LF")
         lines.append(_RECORD_ENCODER.encode(
             [doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts]
         ))

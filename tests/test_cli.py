@@ -509,6 +509,18 @@ class TestUsageErrors:
         assert cli.main(["ingest", "--corpus", "x"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, error", [
+        ([], "pswm: error: the following arguments are required: command"),
+        (["search", "q", "--index", "i", "--model", "m", "--cutoff", "2"],
+         "pswm search: error: argument --cutoff: must be in [0, 1], got 2"),
+        (["ingest", "--corpus", "x"], "pswm ingest: error: the following arguments are required: --index"),
+    ])
+    def test_usage_error_prints_usage_then_the_error(self, capsys, argv, error):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: pswm") and lines[-1] == error
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
         assert "ingest" in capsys.readouterr().out

@@ -364,20 +364,25 @@ class TestIndexPersistence:
             load_index(path)
 
     @pytest.mark.parametrize("doc_id", ["\t", "a\rb", "\n"])
-    def test_save_refuses_an_id_with_tab_or_line_break(self, tmp_path, doc_id):
+    def test_save_refuses_an_id_with_tab_or_line_break(self, fixture_index, tmp_path, doc_id):
         path = tmp_path / "idx"
+        save_index(fixture_index, path)
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="holds a TAB, CR or LF"):
             save_index(build_index([Document(id="a", body="x"), Document(id=doc_id, body="y")]), path)
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
     @pytest.mark.parametrize("docs", [
         {"a": Document(id="a\tb", body="x")},  # the id holds a TAB that the key does not
         {"a": Document(id="z", body="x"), "b": Document(id="b", body="y")},  # key order is not id order
     ])
-    def test_save_refuses_a_key_that_is_not_its_documents_id(self, tmp_path, docs):
+    def test_save_refuses_a_key_that_is_not_its_documents_id(self, fixture_index, tmp_path, docs):
+        path = tmp_path / "idx"
+        save_index(fixture_index, path)
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="docs key 'a' differs from its document's id"):
-            save_index(InvertedIndex(docs=docs), tmp_path / "idx")
-        assert list(tmp_path.iterdir()) == []
+            save_index(InvertedIndex(docs=docs), path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
     def test_deeply_nested_record_is_data_error(self, tmp_path):
         path, lines = self.saved_lines(tmp_path, "a")

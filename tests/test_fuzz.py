@@ -206,9 +206,11 @@ def _brute_force_postings(docs: list[Document]) -> dict[str, list[str]]:
     return {t: [doc.id for doc in ordered if t in tokenize(doc.body)] for t in tokens}
 
 
-# Words whose lower() is longer (İ), depends on its neighbours (a final Σ), or changes under other case
-# mappings (ß, ﬁ), and words that hold other words as substrings: where filtering on the lowered body could err.
-_lookup_words = st.sampled_from(["web", "webs", "İ", "İstanbul", "i", "ß", "ss", "ΟΔΟΣ", "Σ", "σ", "ﬁle", "file"])
+# Words whose lower() is longer (İ), depends on its neighbours (a final Σ, also across the soft hyphen U+00AD
+# that the rule skips), leaves ASCII (the Kelvin sign) or changes under other case mappings (ß, ﬁ), and words
+# that hold other words as substrings: where filtering on the lowered body could err.
+_lookup_words = st.sampled_from(["web", "webs", "İ", "İstanbul", "i", "ß", "ss", "ΟΔΟΣ", "Σ", "AΣ", "σ", "ς",
+                                 "Σ\u00ad", "\u00ad", "\u212a", "ﬁle", "file"])
 _lookup_documents = st.lists(
     st.builds(Document, id=_doc_text(3, min_size=1),
               body=_doc_text(20) | st.lists(_lookup_words | _doc_text(3), max_size=5).map(" ".join)),
@@ -284,30 +286,6 @@ def test_ingest_counts_the_brute_force_tokens(scratch):
         count = len(_brute_force_postings(docs))
         assert out.getvalue().splitlines()[0] == f"ingested {len(docs)} documents, {count} distinct tokens"
         assert len(load_index(index_path).postings) == count
-
-    check()
-
-
-# Text whose lowering depends on its neighbours (a final Σ, also across the soft hyphen U+00AD that the
-# rule skips), grows (İ) or leaves ASCII (the Kelvin sign): where tokenizing bodies joined by a space could err.
-_joined_words = st.sampled_from(["ΟΔΟΣ", "Σ", "AΣ", "σ", "ς", "\u212a", "İ", "i", "\u00ad", "Σ\u00ad", "web"])
-_joined_bodies = st.lists(st.lists(_joined_words | st.sampled_from([" ", "-", ""]) | _doc_text(2), max_size=5)
-                          .map("".join), max_size=6)
-
-
-def test_ingest_counts_tokens_of_joined_bodies_as_body_by_body(scratch):
-    corpus_path, index_path = scratch / "joined_corpus", scratch / "joined_idx"
-
-    @PROPERTY
-    @given(bodies=_joined_bodies)
-    def check(bodies):
-        corpus_path.write_text("".join(json.dumps({"id": f"d{i}", "body": body}) + "\n"
-                                       for i, body in enumerate(bodies)), encoding="utf-8")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)]) == 0
-        count = len(set().union(*(tokenize(body) for body in bodies)))
-        assert out.getvalue().splitlines()[0] == f"ingested {len(bodies)} documents, {count} distinct tokens"
 
     check()
 
