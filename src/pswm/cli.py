@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import corpus, neural, ranker, scoring, training
@@ -57,7 +58,15 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _refuse_overwriting_inputs(args, output: str, *inputs: str) -> None:
+    for flag in inputs:
+        paths = getattr(args, output), getattr(args, flag)
+        if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
+            raise ValueError(f"--{output} and --{flag} name the same file: {paths[0]}")
+
+
 def cmd_ingest(args) -> int:
+    _refuse_overwriting_inputs(args, "index", "corpus")
     docs = corpus.parse_corpus_file(args.corpus)
     index = corpus.build_index(docs)
     corpus.save_index(index, args.index)
@@ -70,11 +79,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_overwriting_inputs(args, "model", "index", "judgments")
     index = corpus.load_index(args.index)
     judgments = training.parse_judgments_file(args.judgments)
     examples = training.judgments_to_examples(judgments, index)
-    if not examples and args.epochs > 0:
-        raise DataError(f"judgments file {args.judgments} contains no judgments")
     net = neural.init_weights([2, args.hidden, 1], args.seed)
     net, trace = neural.train(net, examples, args.epochs, args.lr, args.seed)
     neural.save_model(net, args.model)
@@ -82,7 +90,7 @@ def cmd_train(args) -> int:
     if trace:
         print(f"initial mean error: {trace[0]:.6f}")
         print(f"final mean error: {trace[-1]:.6f}")
-    elif judgments:
+    else:
         report = training.evaluate(net, judgments, index)
         print(f"final mean error: {report['mean_error']:.6f}")
     print(f"saved model -> {args.model}")
@@ -114,8 +122,6 @@ def cmd_eval(args) -> int:
     index = corpus.load_index(args.index)
     net = _load_ranking_model(args.model)
     judgments = training.parse_judgments_file(args.judgments)
-    if not judgments:
-        raise DataError(f"judgments file {args.judgments} contains no judgments")
     report = training.evaluate(net, judgments, index)
     print(f"count: {report['count']}")
     print(f"mean error: {report['mean_error']:.6f}")

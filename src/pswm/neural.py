@@ -283,8 +283,8 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not data and epochs > 0:
         raise ValueError("cannot train on an empty example list")
-    if learning_rate <= 0.0:
-        raise ValueError(f"learning rate must be positive, got {learning_rate}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
     n_in, n_out = net.layer_sizes[0], net.layer_sizes[-1]
     features, desired = [], []
     for i, example in enumerate(data):

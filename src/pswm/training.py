@@ -32,7 +32,7 @@ class Judgment:
 
 
 def parse_judgments_file(path) -> list[Judgment]:
-    """Read a judgments file; DataError on malformed lines or labels."""
+    """Read a judgments file; DataError on a malformed line or label, or "contains no judgments" if none."""
     judgments: list[Judgment] = []
     for line_no, line in enumerate(read_lines(path, "judgments"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -46,6 +46,8 @@ def parse_judgments_file(path) -> list[Judgment]:
         if not doc_id:
             raise DataError(f"line {line_no}: empty doc_id")
         judgments.append(Judgment(query=query, doc_id=doc_id, label=int(label_text)))
+    if not judgments:
+        raise DataError(f"judgments file {path} contains no judgments")
     return judgments
 
 

@@ -61,7 +61,7 @@ class TestIngest:
         assert len(built) == 1
         assert "postings" not in vars(built[0])
 
-    def test_counts_distinct_tokens_over_more_bodies_than_one_join(self, tmp_path, capsys):
+    def test_1100_bodies_give_1101_distinct_tokens(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus"
         corpus_path.write_text("".join(json.dumps({"id": f"d{i:04d}", "body": f"w{i} Shared"}) + "\n"
                                        for i in range(1100)), encoding="utf-8")
@@ -229,6 +229,20 @@ class TestTrain:
         ])
         assert code == cli.EXIT_DATA
         assert "no judgments" in capsys.readouterr().err
+
+    def test_zero_epochs_on_empty_judgments_is_data_error(self, tmp_path, ingested, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# nothing here\n", encoding="utf-8")
+        model_path = tmp_path / "model"
+        code = cli.main([
+            "train", "--index", str(ingested), "--judgments", str(empty),
+            "--model", str(model_path), "--epochs", "0",
+        ])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert captured.err == f"error: judgments file {empty} contains no judgments\n"
+        assert captured.out == ""
+        assert not model_path.exists()
 
     def test_negative_lr_is_usage_error(self, tmp_path, ingested, capsys):
         code = cli.main([
@@ -497,16 +511,8 @@ class TestNumpyImport:
 
 
 class TestUsageErrors:
-    def test_no_subcommand(self, capsys):
-        assert cli.main([]) == cli.EXIT_USAGE
-        capsys.readouterr()
-
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
-        capsys.readouterr()
-
-    def test_missing_required_flag(self, capsys):
-        assert cli.main(["ingest", "--corpus", "x"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, error", [
@@ -536,6 +542,28 @@ class TestUsageErrors:
     def test_negative_seed_names_the_flag(self, capsys, command):
         assert cli.main(command + ["--seed", "-1"]) == cli.EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
+
+
+class TestOutputIsNotAnInput:
+    @pytest.mark.parametrize("command, output, source", [
+        (["ingest", "--corpus", "{corpus}", "--index", "{corpus}"], "--index", "--corpus"),
+        (["train", "--index", "{index}", "--judgments", "{judgments}", "--model", "{index}"], "--model", "--index"),
+        (["train", "--index", "{index}", "--judgments", "{judgments}", "--model", "{judgments}"],
+         "--model", "--judgments"),
+    ], ids=["ingest-index-corpus", "train-model-index", "train-model-judgments"])
+    def test_output_naming_an_input_is_usage_error_and_leaves_the_input(
+        self, tmp_path, ingested, capsys, command, output, source
+    ):
+        paths = {"corpus": tmp_path / "corpus.jsonl", "index": ingested, "judgments": tmp_path / "judgments.tsv"}
+        paths["corpus"].write_bytes(CORPUS_PATH.read_bytes())
+        paths["judgments"].write_bytes(JUDGMENTS_PATH.read_bytes())
+        before = {name: path.read_bytes() for name, path in paths.items()}
+        code = cli.main([arg.format(**paths) for arg in command])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert output in captured.err and source in captured.err
+        assert captured.out == ""
+        assert {name: path.read_bytes() for name, path in paths.items()} == before
 
 
 class TestExceptionMapping:

@@ -364,10 +364,11 @@ class TestTrain:
         assert trace == []
 
     def test_non_finite_weights_raise_instead_of_being_returned(self):
-        for lr in (math.inf, math.nan):
-            net = init_weights([2, 4, 1], 0)
-            with pytest.raises(ValueError, match="non-finite weights after epoch 1"):
-                train(net, AND_DATA, epochs=5, learning_rate=lr, seed=0)
+        # A finite but huge desired output drives the first epoch's updates past the float range.
+        data = [TrainingExample([0.0, 1.0], [1e300]), TrainingExample([1.0, 0.0], [-1e300])]
+        net = init_weights([2, 4, 1], 0)
+        with pytest.raises(ValueError, match="non-finite weights after epoch 1"):
+            train(net, data, epochs=5, learning_rate=1e10, seed=0)
 
     def test_sigmoid_overflow_saturates_without_warnings(self):
         net = init_weights([2, 4, 1], 0)
@@ -437,10 +438,10 @@ class TestTrainKernel:
         assert net.weights == before
 
     def test_non_positive_learning_rate_raises_before_any_weight_changes(self):
-        for lr in (0.0, -0.5):
+        for lr in (0.0, -0.5, math.inf, math.nan):
             net = init_weights([2, 4, 1], 0)
             before = copy.deepcopy(net.weights)
-            with pytest.raises(ValueError, match="learning rate must be positive"):
+            with pytest.raises(ValueError, match="learning rate must be positive and finite"):
                 train(net, AND_DATA, epochs=3, learning_rate=lr, seed=0)
             assert net.weights == before
 

@@ -1,5 +1,7 @@
 """Judgment parsing, example building, and model evaluation."""
 
+import re
+
 import pytest
 
 from pswm import (
@@ -68,6 +70,13 @@ class TestParseJudgmentsFile:
         path = tmp_path / "j.tsv"
         path.write_text("q\td1\t1\nq\td2\t5\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
+            parse_judgments_file(path)
+
+    @pytest.mark.parametrize("text", ["", "# header\n\n   \n"], ids=["empty", "comments-and-blanks"])
+    def test_file_without_judgments_is_data_error(self, tmp_path, text):
+        path = tmp_path / "j.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^judgments file {re.escape(str(path))} contains no judgments$"):
             parse_judgments_file(path)
 
     def test_missing_file(self, tmp_path):
