@@ -108,6 +108,10 @@ def _load_ranking_model(path) -> neural.Network:
 
 
 def cmd_search(args) -> int:
+    try:
+        args.query.encode()
+    except UnicodeEncodeError:  # a lone surrogate, which Python decodes from an argv byte that is not UTF-8
+        raise ValueError(f"query {args.query!r} is not UTF-8 text") from None
     index = corpus.load_index(args.index)
     net = _load_ranking_model(args.model)
     tree = build_syntax_tree(args.query)

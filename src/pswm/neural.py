@@ -274,8 +274,9 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     with one mean-error entry per epoch, the error being measured on each
     example's pre-update forward pass.
     Every example is checked before any weight changes: ValueError names
-    the first one whose lengths do not fit the network or whose values
-    are not finite. Raises ValueError if a weight is not finite after an
+    the first one whose lengths do not fit the network, whose values are
+    not finite, or whose desired values lie outside [0, 1], the range of
+    the sigmoid output. Raises ValueError if a weight is not finite after an
     epoch. Sigmoid overflow is not reported: it saturates to the correct
     limit.
     """
@@ -290,6 +291,8 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     for i, example in enumerate(data):
         features.append(_floats(example.features, n_in, f"example {i}: features"))
         desired.append(_floats(example.desired, n_out, f"example {i}: desired"))
+        if not all(0.0 <= d <= 1.0 for d in desired[-1]):
+            raise ValueError(f"example {i}: desired values must lie in [0, 1], got {desired[-1]}")
     draw = _seeded(seed).random
     order = list(range(len(data)))
     trace: list[float] = []

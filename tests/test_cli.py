@@ -375,6 +375,14 @@ class TestSearch:
         assert code == cli.EXIT_USAGE
         assert "no searchable tokens" in capsys.readouterr().err
 
+    def test_query_with_a_lone_surrogate_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
+        # Python decodes an argv byte that is not UTF-8, such as 0xFF, to a lone surrogate.
+        missing = str(tmp_path / "missing")
+        code = cli.main(["search", "semantic\udcff", "--index", missing, "--model", missing, "--format", "machine"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err == "error: query 'semantic\\udcff' is not UTF-8 text\n"
+
     def test_missing_model_is_data_error(self, tmp_path, ingested, capsys):
         code = cli.main([
             "search", "web", "--index", str(ingested), "--model", str(tmp_path / "nope"),

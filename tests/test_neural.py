@@ -364,11 +364,10 @@ class TestTrain:
         assert trace == []
 
     def test_non_finite_weights_raise_instead_of_being_returned(self):
-        # A finite but huge desired output drives the first epoch's updates past the float range.
-        data = [TrainingExample([0.0, 1.0], [1e300]), TrainingExample([1.0, 0.0], [-1e300])]
-        net = init_weights([2, 4, 1], 0)
+        # Huge finite features times a huge learning rate drive the first update past the float range.
+        net = Network([2, 1, 1], [[[0.5, 0.5, 0.0]], [[1.0, 0.0]]])
         with pytest.raises(ValueError, match="non-finite weights after epoch 1"):
-            train(net, data, epochs=5, learning_rate=1e10, seed=0)
+            train(net, [TrainingExample([1e300, -1e300], [0.0])], epochs=1, learning_rate=1e10, seed=0)
 
     def test_sigmoid_overflow_saturates_without_warnings(self):
         net = init_weights([2, 4, 1], 0)
@@ -428,6 +427,8 @@ class TestTrainKernel:
         (TrainingExample([math.inf, 0.5], [1.0]), "example 5: features contain non-finite"),
         (TrainingExample([0.5, 0.5], [-math.inf]), "example 5: desired contain non-finite"),
         (TrainingExample([0.5, "x"], [1.0]), "example 5: features are not numbers"),
+        (TrainingExample([0.5, 0.5], [1.5]), r"example 5: desired values must lie in \[0, 1\], got \[1.5\]"),
+        (TrainingExample([0.5, 0.5], [-0.1]), r"example 5: desired values must lie in \[0, 1\], got \[-0.1\]"),
     ])
     def test_bad_late_example_raises_before_any_weight_changes(self, bad, match):
         net = init_weights([2, 4, 1], 0)
