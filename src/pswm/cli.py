@@ -5,7 +5,7 @@ search (index + model + query -> ranked results), eval (model accuracy on
 judgments), gradcheck (finite-difference verification of the backward
 pass).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 check failure.
+Exit codes: 0 success, 1 usage error, 2 data error or unwritable output, 3 check failure.
 """
 
 from __future__ import annotations
@@ -191,8 +191,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, but pswm reserves 2 for data errors
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left is reported here, not by a failed flush at exit
+        return code
+    except UnicodeEncodeError as exc:  # a ValueError, yet the flags were fine: stdout cannot take the output
+        print(f"error: stdout's encoding {sys.stdout.encoding} cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (DataError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # send what stdout still holds nowhere, so exit flushes without error
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, MemoryError) as exc:  # MemoryError: a size flag, e.g. --hidden, too large to allocate

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DataError
-from .fileio import read_lines, write_text_atomic
+from .fileio import read_lines, write_lines_atomic
 from .query import tokenize
 
 INDEX_MAGIC = "PSWM-INDEX v3"
@@ -42,7 +42,7 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 _ID_BREAK = re.compile("[\t\r\n]")
 
 
-@dataclass
+@dataclass(slots=True)
 class MetaRecord:
     """Keyword and weighted concept tags describing what a document means."""
 
@@ -81,7 +81,7 @@ class MetaRecord:
         return cls(keywords=norm_kw, concepts=norm_concepts)
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One searchable item: identifier, display fields, body text, metadata."""
 
@@ -245,9 +245,9 @@ _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separator
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write `index` to `path` in index format v3 (see module doc), replacing the file atomically.
+    """Write `index` to `path` in index format v3 (see module doc), atomically, through `write_lines_atomic`.
 
-    Raises ValueError, writing nothing, naming the first `docs` key in sorted order that is not its
+    Raises ValueError before any file is opened, naming the first `docs` key in sorted order that is not its
     document's id (records hold ``doc.id`` in key order) or holds a TAB, CR or LF (`load_index` rejects it).
     """
     lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
@@ -260,7 +260,7 @@ def save_index(index: InvertedIndex, path) -> None:
         lines.append(_RECORD_ENCODER.encode(
             [doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts]
         ))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_lines_atomic(path, lines)
 
 
 def load_index(path) -> InvertedIndex:

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import DataError
-from .fileio import read_lines, write_text_atomic
+from .fileio import read_lines, write_lines_atomic
 
 MODEL_MAGIC = "PSWM-MODEL v1"
 
@@ -334,7 +334,7 @@ def save_model(net: Network, path) -> None:
     for units in net.weights:
         for row in zip(*units):
             lines.append(" ".join(repr(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_lines_atomic(path, lines)
 
 
 def load_model(path) -> Network:

@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, output, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -475,11 +476,16 @@ class TestGradcheck:
         assert "FAILED" in captured.err
 
 
+def _child_env(**changes) -> dict[str, str]:
+    """The environment with pswm's source on PYTHONPATH and `changes` applied; a None value unsets a variable."""
+    src = str(Path(pswm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **changes}
+    return {name: value for name, value in env.items() if value is not None}
+
+
 def _fresh_imports(args, cwd) -> set[str]:
     """Modules that a fresh `python -X importtime <args>` imports: it writes one stderr line per module."""
-    src = str(Path(pswm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=env,
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd, env=_child_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
@@ -516,6 +522,40 @@ class TestNumpyImport:
     def test_the_check_sees_numpy_where_it_is_imported(self, tmp_path):
         # Positive control: the negative checks above cannot pass because the check sees nothing.
         assert {"numpy", "hashlib"} <= _fresh_imports(["-c", "import numpy, hashlib"], tmp_path)
+
+
+def _pswm_process(args, cwd, stdout, **env_changes):
+    """Run `python -m pswm <args>` in `_child_env(**env_changes)`; stderr is captured as text."""
+    return subprocess.run([sys.executable, "-m", "pswm", *args], cwd=cwd, env=_child_env(**env_changes),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestProcessStdout:
+    """Output that stdout cannot take is exit 2 with one error line, as a failed save is."""
+
+    def test_stdout_encoding_without_the_query_characters_is_exit_two_with_stdout_empty(
+        self, tmp_path, ingested, trained
+    ):
+        result = _pswm_process(["search", "s\u00e9mantic web", "--index", str(ingested), "--model", str(trained),
+                                "--format", "machine"], tmp_path, subprocess.PIPE, PYTHONIOENCODING="ascii")
+        assert result.returncode == cli.EXIT_DATA
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: stdout's encoding ascii cannot write the output: ")
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_pipe_without_a_reader_is_exit_two_with_one_error_line(self, tmp_path, ingested, trained, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the process starts, so that its first write to stdout fails
+        try:
+            result = _pswm_process(["search", "semantic web mining", "--index", str(ingested),
+                                    "--model", str(trained), "--cutoff", "0"], tmp_path, write_end,
+                                   PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert result.returncode == cli.EXIT_DATA
+        # One line: no traceback, and no "Exception ignored" from a second failed flush at exit.
+        assert result.stderr.splitlines() == [f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"]
 
 
 class TestUsageErrors:

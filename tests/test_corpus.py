@@ -24,6 +24,12 @@ from pswm.corpus import INDEX_MAGIC
 from conftest import CORPUS_PATH
 
 
+def test_documents_and_meta_records_carry_no_instance_dict():
+    # An index holds one of each per document; slots keep them small.
+    for obj in (Document("a"), MetaRecord()):
+        assert not hasattr(obj, "__dict__")
+
+
 class TestMetaRecord:
     def test_normalizes_keywords(self):
         meta = MetaRecord.from_raw(["  Web ", "MINING", "web"], {})

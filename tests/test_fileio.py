@@ -2,10 +2,24 @@
 
 import errno
 import os
+import random
+import tracemalloc
 
 import pytest
 
-from pswm import build_index, fileio, init_weights, save_index, save_model
+from pswm import (
+    DataError,
+    Document,
+    build_index,
+    fileio,
+    init_weights,
+    load_index,
+    load_model,
+    parse_corpus_file,
+    parse_judgments_file,
+    save_index,
+    save_model,
+)
 
 
 class _FullDisk:
@@ -57,3 +71,29 @@ def test_read_lines_splits_on_newlines_only(text, lines, tmp_path):
     path = tmp_path / "f"
     path.write_bytes(text.encode("utf-8"))
     assert fileio.read_lines(path, "test") == lines
+
+
+def test_save_index_holds_no_joined_copy_of_the_file(tmp_path):
+    # The lines hold the file's text about once; a joined copy of them would hold it twice more.
+    rng = random.Random(7)
+    words = [f"word{i}" for i in range(500)]
+    docs = [Document(id=f"d{i:05d}", title=f"title {i}", body=" ".join(rng.choices(words, k=80)))
+            for i in range(2000)]
+    index = build_index(docs)
+    path = tmp_path / "idx"
+    tracemalloc.start()
+    try:
+        save_index(index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * path.stat().st_size
+    assert load_index(path) == index
+
+
+@pytest.mark.parametrize("load", [parse_corpus_file, load_index, load_model, parse_judgments_file])
+def test_unreadable_file_error_names_its_path_once(load, tmp_path):
+    path = tmp_path / "no-such-file"
+    with pytest.raises(DataError, match="cannot read .* file .*: No such file or directory$") as exc:
+        load(path)
+    assert str(exc.value).count(str(path)) == 1
