@@ -6,6 +6,8 @@ judgments), gradcheck (finite-difference verification of the backward
 pass).
 
 Exit codes: 0 success, 1 usage error, 2 data error or unwritable output, 3 check failure.
+Each command checks its whole command line before it reads or writes a file, so a
+usage error, or an output path that stdout cannot print, leaves every file as it was.
 """
 
 from __future__ import annotations
@@ -30,43 +32,35 @@ DEFAULT_SEED = 42
 DEFAULT_HIDDEN = 4
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+def _flag(convert, rule: str, holds):
+    """An argparse type: `convert` the text, then refuse it as "must be <rule>" unless `holds(value)`."""
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse names the type in "invalid float value: 'abc'"
+    return check
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+_probability = _flag(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_positive_float = _flag(float, "positive and finite", lambda v: 0.0 < v < math.inf)
+_positive_int = _flag(int, "a positive integer", lambda v: v >= 1)
+_non_negative_int = _flag(int, "non-negative", lambda v: v >= 0)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
-
-
-def _refuse_overwriting_inputs(args, output: str, *inputs: str) -> None:
+def _check_output_path(args, output: str, *inputs: str) -> None:
+    path = getattr(args, output)
+    if sys.stdout.encoding is not None:  # `saved … -> PATH` prints after the save; a StringIO has no encoding
+        path.encode(sys.stdout.encoding, sys.stdout.errors)
     for flag in inputs:
-        paths = getattr(args, output), getattr(args, flag)
+        paths = path, getattr(args, flag)
         if all(map(os.path.exists, paths)) and os.path.samefile(*paths):
-            raise ValueError(f"--{output} and --{flag} name the same file: {paths[0]}")
+            raise ValueError(f"--{output} and --{flag} name the same file: {path}")
 
 
 def cmd_ingest(args) -> int:
-    _refuse_overwriting_inputs(args, "index", "corpus")
+    _check_output_path(args, "index", "corpus")
     docs = corpus.parse_corpus_file(args.corpus)
     index = corpus.build_index(docs)
     corpus.save_index(index, args.index)
@@ -79,11 +73,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _refuse_overwriting_inputs(args, "model", "index", "judgments")
+    _check_output_path(args, "model", "index", "judgments")
+    try:
+        net = neural.init_weights([2, args.hidden, 1], args.seed)
+    except MemoryError:
+        raise ValueError(f"--hidden {args.hidden} is too large to allocate") from None
     index = corpus.load_index(args.index)
     judgments = training.parse_judgments_file(args.judgments)
     examples = training.judgments_to_examples(judgments, index)
-    net = neural.init_weights([2, args.hidden, 1], args.seed)
     net, trace = neural.train(net, examples, args.epochs, args.lr, args.seed)
     neural.save_model(net, args.model)
     print(f"trained on {len(examples)} examples for {args.epochs} epochs")
@@ -112,9 +109,9 @@ def cmd_search(args) -> int:
         args.query.encode()
     except UnicodeEncodeError:  # a lone surrogate, which Python decodes from an argv byte that is not UTF-8
         raise ValueError(f"query {args.query!r} is not UTF-8 text") from None
+    tree = build_syntax_tree(args.query)
     index = corpus.load_index(args.index)
     net = _load_ranking_model(args.model)
-    tree = build_syntax_tree(args.query)
     candidates = scoring.analyze(tree, index)
     ranked = ranker.attach_probabilities(candidates, net)
     page = ranker.format_results(ranked, args.cutoff, args.top_k, query=args.query)
@@ -203,7 +200,7 @@ def main(argv=None) -> int:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, MemoryError) as exc:  # MemoryError: a size flag, e.g. --hidden, too large to allocate
+    except (ValueError, MemoryError) as exc:  # MemoryError: an allocation too large to make; cmd_train names --hidden
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -285,17 +285,6 @@ class TestTrain:
                 assert captured.err == ""
                 assert captured.out
 
-    def test_hidden_too_large_to_allocate_is_usage_error(self, tmp_path, ingested, capsys):
-        # 3 x 10**15 doubles is about 21 PiB: the allocation fails at once.
-        model_path = tmp_path / "m"
-        code = cli.main([
-            "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
-            "--model", str(model_path), "--hidden", str(10**15),
-        ])
-        assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not model_path.exists()
-
     def test_unknown_doc_in_judgments_is_data_error(self, tmp_path, ingested, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("web\tghost\t1\n", encoding="utf-8")
@@ -370,19 +359,6 @@ class TestSearch:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert out.splitlines()[-1] == "0 results"
-
-    def test_empty_query_is_usage_error(self, tmp_path, ingested, trained, capsys):
-        code = cli.main(["search", "???", "--index", str(ingested), "--model", str(trained)])
-        assert code == cli.EXIT_USAGE
-        assert "no searchable tokens" in capsys.readouterr().err
-
-    def test_query_with_a_lone_surrogate_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
-        # Python decodes an argv byte that is not UTF-8, such as 0xFF, to a lone surrogate.
-        missing = str(tmp_path / "missing")
-        code = cli.main(["search", "semantic\udcff", "--index", missing, "--model", missing, "--format", "machine"])
-        out, err = capsys.readouterr()
-        assert code == cli.EXIT_USAGE
-        assert out == "" and err == "error: query 'semantic\\udcff' is not UTF-8 text\n"
 
     def test_missing_model_is_data_error(self, tmp_path, ingested, capsys):
         code = cli.main([
@@ -543,6 +519,25 @@ class TestProcessStdout:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: stdout's encoding ascii cannot write the output: ")
 
+    @pytest.mark.parametrize("command, name", [
+        (["ingest", "--corpus", str(CORPUS_PATH), "--index", "{name}"], "id\u00e9"),
+        (["train", "--index", "{index}", "--judgments", str(JUDGMENTS_PATH), "--model", "{name}", "--epochs", "1"],
+         "n\u00e9"),
+    ], ids=["ingest", "train"])
+    def test_output_path_that_stdout_cannot_print_is_exit_two_and_writes_no_file(
+        self, tmp_path, ingested, command, name
+    ):
+        result = _pswm_process([arg.format(name=name, index=ingested) for arg in command], tmp_path, subprocess.PIPE,
+                               PYTHONIOENCODING="ascii")
+        assert result.returncode == cli.EXIT_DATA
+        assert result.stdout == ""
+        position = name.index("\u00e9")
+        assert result.stderr.splitlines() == [
+            "error: stdout's encoding ascii cannot write the output: 'ascii' codec can't encode character '\\xe9' "
+            f"in position {position}: ordinal not in range(128)"
+        ]
+        assert not (tmp_path / name).exists()
+
     @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
     def test_pipe_without_a_reader_is_exit_two_with_one_error_line(self, tmp_path, ingested, trained, unbuffered):
         read_end, write_end = os.pipe()
@@ -568,12 +563,35 @@ class TestUsageErrors:
         (["search", "q", "--index", "i", "--model", "m", "--cutoff", "2"],
          "pswm search: error: argument --cutoff: must be in [0, 1], got 2"),
         (["ingest", "--corpus", "x"], "pswm ingest: error: the following arguments are required: --index"),
+        (["search", "q", "--index", "i", "--model", "m", "--cutoff", "abc"],
+         "pswm search: error: argument --cutoff: invalid float value: 'abc'"),
+        (["search", "q", "--index", "i", "--model", "m", "--top-k", "1.5"],
+         "pswm search: error: argument --top-k: invalid int value: '1.5'"),
     ])
     def test_usage_error_prints_usage_then_the_error(self, capsys, argv, error):
         assert cli.main(argv) == cli.EXIT_USAGE
         out, err = capsys.readouterr()
         lines = err.splitlines()
         assert out == "" and lines[0].startswith("usage: pswm") and lines[-1] == error
+
+    @pytest.mark.parametrize("command, error", [
+        (["search", "???", "--index", "{missing}", "--model", "{missing}"],
+         "error: empty query: no searchable tokens"),
+        # Python decodes an argv byte that is not UTF-8, such as 0xFF, to a lone surrogate.
+        (["search", "semantic\udcff", "--index", "{missing}", "--model", "{missing}", "--format", "machine"],
+         "error: query 'semantic\\udcff' is not UTF-8 text"),
+        # 3 x 10**15 doubles is about 21 PiB: the allocation fails at once.
+        (["train", "--index", "{missing}", "--judgments", "{missing}", "--model", "{model}", "--hidden", str(10**15)],
+         f"error: --hidden {10**15} is too large to allocate"),
+    ], ids=["empty-query", "lone-surrogate", "hidden-too-large"])
+    def test_command_line_is_refused_before_any_file_is_read(self, tmp_path, capsys, command, error):
+        # Every input is missing, so reading one first would be a data error that names it.
+        paths = {"missing": tmp_path / "missing", "model": tmp_path / "model"}
+        code = cli.main([arg.format(**paths) for arg in command])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err == error + "\n"
+        assert not paths["model"].exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK

@@ -156,10 +156,6 @@ class TestParseCorpusFile:
         with pytest.raises(DataError, match="line 1.*outside"):
             parse_corpus_file(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot read"):
-            parse_corpus_file(tmp_path / "nope.jsonl")
-
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_bytes(b"\xff\xfe\x00bad")
@@ -410,10 +406,6 @@ class TestIndexPersistence:
             fh.write('{"extra": 1}\n')
         with pytest.raises(DataError, match="trailing"):
             load_index(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot read"):
-            load_index(tmp_path / "nope")
 
     def test_saved_docs_sorted_and_json_per_line(self, fixture_index, tmp_path):
         path = tmp_path / "idx"

@@ -621,10 +621,6 @@ class TestModelPersistence:
         with pytest.raises(DataError, match=f"^line 4: weights .*{match}"):
             load_model(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot read"):
-            load_model(tmp_path / "nope")
-
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "model"
         path.write_text(f"{MODEL_MAGIC}\n", encoding="utf-8")

@@ -79,10 +79,6 @@ class TestParseJudgmentsFile:
         with pytest.raises(DataError, match=f"^judgments file {re.escape(str(path))} contains no judgments$"):
             parse_judgments_file(path)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError, match="cannot read"):
-            parse_judgments_file(tmp_path / "nope.tsv")
-
     def test_query_may_contain_spaces(self, tmp_path):
         path = tmp_path / "j.tsv"
         path.write_text("three word query\td9\t0\n", encoding="utf-8")
