@@ -86,10 +86,7 @@ def cmd_train(args) -> int:
     print(f"trained on {len(examples)} examples for {args.epochs} epochs")
     if trace:
         print(f"initial mean error: {trace[0]:.6f}")
-        print(f"final mean error: {trace[-1]:.6f}")
-    else:
-        report = training.evaluate(net, judgments, index)
-        print(f"final mean error: {report['mean_error']:.6f}")
+    print(f"final mean error: {training.evaluate(net, judgments, index)['mean_error']:.6f}")  # as `eval` reports it
     print(f"saved model -> {args.model}")
     return EXIT_OK
 
@@ -184,11 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad usage, but pswm reserves 2 for data errors
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on bad usage, but pswm reserves 2 for data errors
+            code = EXIT_USAGE if exc.code else EXIT_OK  # 0 after --help, whose text is still to be flushed
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a reader that left is reported here, not by a failed flush at exit
         return code
     except UnicodeEncodeError as exc:  # a ValueError, yet the flags were fine: stdout cannot take the output

@@ -9,10 +9,10 @@ Corpus files are UTF-8 with one JSON record per line:
 `id` and `body` are required; `url`, `title`, and `meta` are optional. An
 `id` may not hold a TAB, CR or LF, which would split its judgments line.
 
-Index files (format v3) are UTF-8 text. Line 1 is the magic
-``PSWM-INDEX v3``, line 2 is ``{"doc_count": N}`` (so truncation shows),
-then exactly N document records, one per line, in strictly ascending id
-order. A record is a positional JSON array, without key names:
+Index files (format v3) are UTF-8 text: the magic ``PSWM-INDEX v3``,
+then ``{"doc_count": N}`` (so truncation shows), then exactly N document
+records and no other line, one per line in strictly ascending id order.
+A record is a positional JSON array, without key names:
 
     ["d1", "http://...", "...", "plain text ...", ["mining", "web"], {"search": 0.8}]
 
@@ -20,8 +20,8 @@ that is ``[id, url, title, body, keywords, concepts]``, keywords sorted.
 Corpus and index records pass the same field checks. Postings are not
 stored: an index derives a posting list from the bodies on each lookup, and
 the full postings once lookups have tokenized as many bodies as the index
-holds. An older ``PSWM-INDEX v1`` or ``v2`` file is rejected: re-ingest its
-corpus.
+holds. A file with any other first line, an older ``PSWM-INDEX v1`` or
+``v2`` index included, is rejected: ``pswm ingest`` writes a v3 index.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .fileio import read_lines, write_lines_atomic
 from .query import tokenize
 
 INDEX_MAGIC = "PSWM-INDEX v3"
-_OLD_INDEX_MAGICS = ("PSWM-INDEX v1", "PSWM-INDEX v2")
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 # A judgments line splits on these, so no id may hold one.
 _ID_BREAK = re.compile("[\t\r\n]")
@@ -54,8 +53,8 @@ class MetaRecord:
         """Build a normalized record from raw tag data.
 
         Keywords and concept tags are stripped and lowercased; empty tags are
-        dropped. Raises ValueError on non-string tags or concept weights
-        outside [0, 1].
+        dropped. Raises ValueError on non-string tags, concept weights outside
+        [0, 1], or two concept tags that normalize to one.
         """
         norm_kw: set[str] = set()
         for kw in keywords:
@@ -76,6 +75,8 @@ class MetaRecord:
                     raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
                 weight = float(weight)
             tag = tag.strip().lower()
+            if tag in norm_concepts:
+                raise ValueError(f"concept tag {tag!r} appears twice after stripping and lowercasing")
             if tag:
                 norm_concepts[tag] = weight
         return cls(keywords=norm_kw, concepts=norm_concepts)
@@ -266,15 +267,13 @@ def save_index(index: InvertedIndex, path) -> None:
 def load_index(path) -> InvertedIndex:
     """Read an index written by `save_index`; its postings are derived when looked up.
 
-    Raises DataError on a bad magic line, a bad doc_count, fewer or more
-    records than it announces, ids not strictly ascending, or a malformed
-    record; never returns a partially loaded index.
+    Raises DataError on a bad magic line, a bad doc_count, a number of lines
+    after the header other than doc_count, ids not strictly ascending, or a
+    malformed record; never returns a partially loaded index.
     """
     lines = read_lines(path, "index")
-    if lines and lines[0] in _OLD_INDEX_MAGICS:
-        raise DataError(f"{path} is a {lines[0]} file; re-ingest the corpus to write {INDEX_MAGIC}")
     if not lines or lines[0] != INDEX_MAGIC:
-        raise DataError(f"not a {INDEX_MAGIC} file: {path}")
+        raise DataError(f"not a {INDEX_MAGIC} file: {path}; pswm ingest writes one from a corpus")
     if len(lines) < 2:
         raise DataError("truncated index file: expected doc count header at line 2")
 
@@ -282,15 +281,12 @@ def load_index(path) -> InvertedIndex:
     doc_count = header.get("doc_count") if isinstance(header, dict) else None
     if type(doc_count) is not int or doc_count < 0:
         raise DataError(f"line 2: invalid doc_count {doc_count!r}")
-    records = lines[2:]
-    if len(records) < doc_count:
-        raise DataError(f"truncated index file: expected {doc_count} document records, found {len(records)}")
-    if any(line.strip() for line in records[doc_count:]):
-        raise DataError(f"trailing content after line {doc_count + 2}: more than {doc_count} document records")
+    if len(lines) - 2 != doc_count:
+        raise DataError(f"index file has {len(lines) - 2} document records, expected {doc_count}")
 
     docs: dict[str, Document] = {}
     last_id = None
-    for line_no, line in enumerate(records[:doc_count], start=3):
+    for line_no, line in enumerate(lines[2:], start=3):
         doc = _parse_index_record(line, line_no)
         if last_id is not None and doc.id <= last_id:
             raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")

@@ -5,8 +5,8 @@ judgments file is UTF-8 with one tab-separated judgment per line::
 
     query text<TAB>doc_id<TAB>label
 
-where label is 0 or 1. Blank lines and lines starting with ``#`` are
-ignored.
+where label is 0 or 1, and the query holds at least one searchable token.
+Blank lines and lines starting with ``#`` are ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .corpus import InvertedIndex
 from .errors import DataError
 from .fileio import read_lines
 from .neural import Network, TrainingExample, error, forward
-from .query import build_syntax_tree
+from .query import build_syntax_tree, tokenize
 from .scoring import semantic_score, syntactic_score
 
 # Probability at or above which a prediction counts as "relevant".
@@ -32,7 +32,7 @@ class Judgment:
 
 
 def parse_judgments_file(path) -> list[Judgment]:
-    """Read a judgments file; DataError on a malformed line or label, or "contains no judgments" if none."""
+    """Read a judgments file; DataError naming a bad line (fields, label, tokenless query), or if it holds none."""
     judgments: list[Judgment] = []
     for line_no, line in enumerate(read_lines(path, "judgments"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -45,6 +45,8 @@ def parse_judgments_file(path) -> list[Judgment]:
             raise DataError(f"line {line_no}: label must be 0 or 1, got {label_text!r}")
         if not doc_id:
             raise DataError(f"line {line_no}: empty doc_id")
+        if not tokenize(query):
+            raise DataError(f"line {line_no}: query has no searchable tokens: {query!r}")
         judgments.append(Judgment(query=query, doc_id=doc_id, label=int(label_text)))
     if not judgments:
         raise DataError(f"judgments file {path} contains no judgments")
@@ -56,18 +58,15 @@ def judgments_to_examples(judgments: list[Judgment], index: InvertedIndex) -> li
 
     Order and cardinality are preserved. Judgments whose document shares no
     token with the query are kept (syntactic score 0) so the network also
-    sees true negatives. DataError on doc ids missing from the index or
-    queries with no tokens.
+    sees true negatives. DataError on doc ids missing from the index; a
+    tokenless query, which `parse_judgments_file` refuses, is a ValueError.
     """
     examples: list[TrainingExample] = []
     for j in judgments:
         doc = index.docs.get(j.doc_id)
         if doc is None:
             raise DataError(f"judgment references unknown doc id {j.doc_id!r}")
-        try:
-            tree = build_syntax_tree(j.query)
-        except ValueError as exc:
-            raise DataError(f"judgment query has no tokens: {j.query!r}") from exc
+        tree = build_syntax_tree(j.query)
         examples.append(
             TrainingExample(
                 features=[syntactic_score(tree, doc), semantic_score(tree, doc.meta)],

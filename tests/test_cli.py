@@ -146,6 +146,18 @@ class TestIngest:
         assert captured.err == ""
         assert json.loads(captured.out)["results"][0]["doc_id"] == "a"
 
+    def test_concept_tags_that_normalize_to_one_are_data_error_and_write_no_index(self, tmp_path, capsys):
+        corpus_path, index_path = tmp_path / "c.jsonl", tmp_path / "idx"
+        corpus_path.write_text('{"id": "a", "body": "web"}\n'
+                               '{"id": "b", "body": "web", "meta": {"concepts": {"web ": 0.2, "Web": 0.9}}}\n',
+                               encoding="utf-8")
+        code = cli.main(["ingest", "--corpus", str(corpus_path), "--index", str(index_path)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert captured.err == "error: line 2: concept tag 'web' appears twice after stripping and lowercasing\n"
+        assert captured.out == ""
+        assert not index_path.exists()
+
     def test_duplicate_id_corpus_names_offender(self, tmp_path, capsys):
         bad = tmp_path / "dup.jsonl"
         bad.write_text(
@@ -295,6 +307,18 @@ class TestTrain:
         assert code == cli.EXIT_DATA
         assert "ghost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epochs", ["0", "1", "5"])
+    def test_final_mean_error_is_the_saved_models_eval_mean_error(self, tmp_path, ingested, capsys, epochs):
+        model_path = tmp_path / "m"
+        code = cli.main(["train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+                         "--model", str(model_path), "--epochs", epochs])
+        assert code == cli.EXIT_OK
+        final = capsys.readouterr().out.split("final mean error: ")[1].splitlines()[0]
+        code = cli.main(["eval", "--index", str(ingested), "--model", str(model_path),
+                         "--judgments", str(JUDGMENTS_PATH)])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.split("mean error: ")[1].splitlines()[0] == final
+
     def test_error_drops_during_training(self, tmp_path, ingested, capsys):
         code = cli.main([
             "train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
@@ -418,6 +442,19 @@ class TestEval:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_tokenless_judgment_query_is_data_error_naming_its_line(tmp_path, ingested, trained, capsys, command):
+    judgments = tmp_path / "j.tsv"
+    judgments.write_text("web\td01\t1\n!!!\td02\t0\n", encoding="utf-8")
+    model_path = tmp_path / "new_model" if command == "train" else trained
+    code = cli.main([command, "--index", str(ingested), "--judgments", str(judgments), "--model", str(model_path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_DATA
+    assert captured.err == "error: line 2: query has no searchable tokens: '!!!'\n"
+    assert captured.out == ""
+    assert model_path.exists() == (command == "eval")
+
+
 class TestRankingModelShape:
     @pytest.mark.parametrize("sizes", [[3, 4, 1], [2, 4, 2]])
     @pytest.mark.parametrize("command", [
@@ -467,8 +504,8 @@ def _fresh_imports(args, cwd) -> set[str]:
     return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
 
 
-# Modules that no command loads: numpy; hashlib, which `secrets` loads; and `pswm.rng`, a second source of draws.
-UNLOADED = {"numpy", "pswm.rng", "hashlib"}
+# Modules that no command loads: numpy, and hashlib, which `secrets` loads.
+UNLOADED = {"numpy", "hashlib"}
 
 
 class TestNumpyImport:
@@ -538,14 +575,20 @@ class TestProcessStdout:
         ]
         assert not (tmp_path / name).exists()
 
-    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-    def test_pipe_without_a_reader_is_exit_two_with_one_error_line(self, tmp_path, ingested, trained, unbuffered):
+    _SEARCH = ["search", "semantic web mining", "--index", "{index}", "--model", "{model}", "--cutoff", "0"]
+
+    # argparse writes the help, then exits 0. Unbuffered, it drops its own failed write and exits 0 silently.
+    @pytest.mark.parametrize("command, unbuffered", [
+        (_SEARCH, None), (_SEARCH, "1"), (["ingest", "--corpus", "c", "--index", "i", "--help"], None),
+    ], ids=["buffered", "unbuffered", "help-buffered"])
+    def test_pipe_without_a_reader_is_exit_two_with_one_error_line(
+        self, tmp_path, ingested, trained, command, unbuffered
+    ):
         read_end, write_end = os.pipe()
         os.close(read_end)  # before the process starts, so that its first write to stdout fails
         try:
-            result = _pswm_process(["search", "semantic web mining", "--index", str(ingested),
-                                    "--model", str(trained), "--cutoff", "0"], tmp_path, write_end,
-                                   PYTHONUNBUFFERED=unbuffered)
+            result = _pswm_process([arg.format(index=ingested, model=trained) for arg in command], tmp_path,
+                                   write_end, PYTHONUNBUFFERED=unbuffered)
         finally:
             os.close(write_end)
         assert result.returncode == cli.EXIT_DATA

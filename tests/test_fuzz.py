@@ -5,8 +5,10 @@ with the brute-force postings and answers every token lookup with them,
 lookups tokenize fewer than twice the doc count before the full build,
 `ingest` prints the brute-force distinct-token count, `analyze`,
 `attach_probabilities`, `MetaRecord.from_raw` and the record decoder equal
-their plain definitions, the CLI never raises, and every artifact a command
-writes, the next command accepts.
+their plain definitions, the CLI never raises, a `pswm` process ends with a
+documented exit code and no traceback whatever its argv bytes, stdout
+encoding and stdout reader, and every artifact a command writes, the next
+command accepts.
 """
 
 import contextlib
@@ -14,7 +16,10 @@ import io
 import json
 import math
 import os
+import select
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -50,6 +55,7 @@ from pswm.corpus import INDEX_MAGIC
 from pswm.neural import MODEL_MAGIC
 
 from conftest import CORPUS_PATH, JUDGMENTS_PATH
+from test_cli import _child_env
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -173,11 +179,16 @@ def _splits_a_judgment(doc_id: str) -> bool:
     return any(c in doc_id for c in "\t\r\n")
 
 
+def _concepts(tags: st.SearchStrategy[str], max_size: int) -> st.SearchStrategy[dict]:
+    """Concept dicts whose tags stay distinct once stripped and lowercased, as `MetaRecord.from_raw` requires."""
+    return st.lists(st.tuples(tags, st.floats(0.0, 1.0)), max_size=max_size,
+                    unique_by=lambda item: item[0].strip().lower()).map(dict)
+
+
 _documents = st.lists(
     st.builds(
         Document, id=_doc_text(3, min_size=1), url=_doc_text(3), title=_doc_text(3), body=_doc_text(20),
-        meta=st.builds(MetaRecord.from_raw, st.lists(_doc_text(5), max_size=3),
-                       st.dictionaries(_doc_text(5), st.floats(0.0, 1.0), max_size=3)),
+        meta=st.builds(MetaRecord.from_raw, st.lists(_doc_text(5), max_size=3), _concepts(_doc_text(5), 3)),
     ),
     max_size=4, unique_by=lambda doc: doc.id,
 )
@@ -309,6 +320,8 @@ def _reference_from_raw(keywords, concepts) -> MetaRecord:
             raise ValueError(f"concept weight for {tag!r} outside [0, 1]: {weight}")
         w = float(weight)
         tag = tag.strip().lower()
+        if tag in norm_concepts:
+            raise ValueError(f"concept tag {tag!r} appears twice after stripping and lowercasing")
         if tag:
             norm_concepts[tag] = w
     return MetaRecord(keywords=norm_kw, concepts=norm_concepts)
@@ -367,8 +380,7 @@ _tags = _words | st.sampled_from(["semantic web", "e-commerce", " Data "])
 _word_documents = st.lists(
     st.builds(
         Document, id=st.text("aB19", min_size=1, max_size=2), body=_phrase(0),
-        meta=st.builds(MetaRecord.from_raw, st.lists(_tags, max_size=3),
-                       st.dictionaries(_tags, st.floats(0.0, 1.0), max_size=2)),
+        meta=st.builds(MetaRecord.from_raw, st.lists(_tags, max_size=3), _concepts(_tags, 2)),
     ),
     max_size=6, unique_by=lambda doc: doc.id,
 )
@@ -490,6 +502,73 @@ def test_main_returns_an_exit_code_and_never_raises(inputs, argv):
     assert isinstance(code, int)
 
 
+# Bytes that are not UTF-8 reach `sys.argv` as lone surrogates (surrogateescape), and leave as the same bytes.
+_escaped_bytes = st.sampled_from(["\udcff", "\udce9", "\udc80x"])
+
+
+@st.composite
+def _process_argv(draw):
+    """Mostly a valid command line, else `_argv`'s; half the time one argument ends in surrogate-escaped bytes."""
+    valid = {
+        "ingest": ["ingest", "--corpus", "corpus", "--index", "out"],
+        "train": ["train", "--index", "idx", "--judgments", "judgments", "--model", "out", "--epochs", "1"],
+        "search": ["search", draw(st.sampled_from(["semantic web mining", "s\u00e9mantic web", "zzz", "!!"])),
+                   "--index", "idx", "--model", "model", "--format", draw(st.sampled_from(["text", "machine"]))],
+        "eval": ["eval", "--index", "idx", "--model", "model", "--judgments", "judgments"],
+        "gradcheck": ["gradcheck"],
+    }
+    argv = list(draw(_mostly(st.sampled_from(list(valid.values())), _argv())))
+    if draw(st.booleans()):
+        argv[draw(st.integers(0, len(argv) - 1))] += draw(_escaped_bytes)
+    return argv
+
+
+def _is_machine_search(argv) -> bool:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return False
+    return args.command == "search" and args.format == "machine"
+
+
+def _read_then_close(pipe, keep: int, timeout: float) -> None:
+    """Read at most `keep` bytes of `pipe`, then close it, so that its writer finds no reader."""
+    while keep > 0 and select.select([pipe], [], [], timeout)[0]:
+        chunk = os.read(pipe.fileno(), keep)
+        if not chunk:
+            break
+        keep -= len(chunk)
+    pipe.close()
+
+
+@settings(max_examples=30, deadline=None)
+@given(argv=_process_argv(), encoding=st.sampled_from([None, "utf-8:strict", "ascii"]),
+       unbuffered=st.sampled_from([None, "1"]), keep=st.none() | st.just(0) | st.integers(1, 100))
+def test_a_pswm_process_exits_with_a_documented_code_and_no_traceback(inputs, argv, encoding, unbuffered, keep):
+    """`python -m pswm` with drawn argv, PYTHONIOENCODING and PYTHONUNBUFFERED (None unsets it); stdout closes
+    after `keep` bytes, 0 before the process writes, or is read to the end."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "work"
+        shutil.copytree(inputs, work)
+        args = [str(work / a) if a in _FILES else a for a in argv]
+        env = _child_env(PYTHONIOENCODING=encoding, PYTHONUNBUFFERED=unbuffered)
+        with subprocess.Popen([sys.executable, "-m", "pswm", *args], cwd=tmp, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                if keep is not None:
+                    _read_then_close(proc.stdout, keep, timeout=60)
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+    event(f"exit {proc.returncode}")
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_CHECK), err
+    assert b"Traceback" not in err, err
+    if proc.returncode == cli.EXIT_OK and keep is None and _is_machine_search(args):
+        json.loads(out.decode("utf-8", "strict"))
+
+
 # Mostly ids that any judgments line can name; one in four from `_chars` and the line ends, LF too.
 _chain_ids = _mostly(st.text("aB19\u00e9\u2028 ", min_size=1, max_size=3),
                      st.text(_chars + "\n\u2029\x85", min_size=1, max_size=3))
@@ -500,7 +579,7 @@ _chain_records = st.fixed_dictionaries(
         "title": _doc_text(3),
         "meta": st.fixed_dictionaries({}, optional={
             "keywords": st.lists(_tags | _doc_text(3), max_size=3),
-            "concepts": st.dictionaries(_tags, st.floats(0.0, 1.0), max_size=2),
+            "concepts": _concepts(_tags, 2),
         }),
     },
 )

@@ -300,7 +300,7 @@ def _descend(net, grads, learning_rate):
                 w[i] -= learning_rate * gi
 
 
-class TestApplyGradients:
+class TestDescentStep:
     def test_step_lowers_error(self):
         net = init_weights([2, 3, 1], 12)
         features, desired = [0.2, 0.8], [1.0]

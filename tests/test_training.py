@@ -66,6 +66,13 @@ class TestParseJudgmentsFile:
         with pytest.raises(DataError, match="doc_id"):
             parse_judgments_file(path)
 
+    @pytest.mark.parametrize("query", ["!!!", "", "_ - _"])
+    def test_tokenless_query_names_its_line(self, tmp_path, query):
+        path = tmp_path / "j.tsv"
+        path.write_text(f"web\td01\t1\n{query}\td02\t0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^line 2: query has no searchable tokens: {re.escape(repr(query))}$"):
+            parse_judgments_file(path)
+
     def test_error_names_offending_line(self, tmp_path):
         path = tmp_path / "j.tsv"
         path.write_text("q\td1\t1\nq\td2\t5\n", encoding="utf-8")
@@ -116,7 +123,8 @@ class TestJudgmentsToExamples:
             judgments_to_examples([Judgment("web", "ghost", 1)], fixture_index)
 
     def test_tokenless_query(self, fixture_index):
-        with pytest.raises(DataError, match="no tokens"):
+        # `parse_judgments_file` refuses such a line, so only a Judgment built in Python reaches this.
+        with pytest.raises(ValueError, match="no searchable tokens"):
             judgments_to_examples([Judgment("!!!", "d01", 1)], fixture_index)
 
     def test_empty_input(self, fixture_index):
