@@ -4,11 +4,11 @@ Every loader ends in a value or a DataError, a saved index loads back equal
 with the brute-force postings and answers every token lookup with them,
 lookups tokenize fewer than twice the doc count before the full build,
 `ingest` prints the brute-force distinct-token count, `analyze`,
-`attach_probabilities`, `MetaRecord.from_raw` and the record decoder equal
-their plain definitions, the CLI never raises, a `pswm` process ends with a
-documented exit code and no traceback whatever its argv bytes, stdout
-encoding and stdout reader, and every artifact a command writes, the next
-command accepts.
+`attach_probabilities`, `MetaRecord.from_raw`, the record decoder and
+`train` of a [2, H, 1] net equal their plain definitions, the CLI never
+raises, a `pswm` process ends with a documented exit code and no traceback
+whatever its argv bytes, stdout encoding and stdout reader, and every
+artifact a command writes, the next command accepts.
 """
 
 import contextlib
@@ -35,6 +35,7 @@ from pswm import (
     InvertedIndex,
     MetaRecord,
     Network,
+    TrainingExample,
     analyze,
     attach_probabilities,
     build_index,
@@ -50,12 +51,14 @@ from pswm import (
     semantic_score,
     syntactic_score,
     tokenize,
+    train,
 )
 from pswm.corpus import INDEX_MAGIC
 from pswm.neural import MODEL_MAGIC
 
 from conftest import CORPUS_PATH, JUDGMENTS_PATH
 from test_cli import _child_env
+from test_neural import _bits, _reference_train
 
 FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -421,6 +424,33 @@ def test_attach_probabilities_equals_forward_bitwise(net, rows):
         ranked = attach_probabilities(candidates, net)
         expected = [forward(net, [s, m])[-1][0] for s, m in rows]
     assert [r.probability.hex() for r in ranked] == [p.hex() for p in expected]
+
+
+@st.composite
+def _training_runs(draw):
+    hidden = draw(st.integers(1, 12))
+    # Weights up to 1e3 make math.exp overflow and underflow inside the sigmoid, small ones keep units
+    # off saturation; features and desired values lie in [0, 1], as in ranking, and rates up to 1e300
+    # still leave the weights finite.
+    weight = st.floats(-5.0, 5.0) | st.floats(-1e3, 1e3)
+    weights = [[draw(st.lists(weight, min_size=3, max_size=3)) for _ in range(hidden)],
+               [draw(st.lists(weight, min_size=hidden + 1, max_size=hidden + 1))]]
+    data = draw(st.lists(st.builds(lambda s, m, d: TrainingExample([s, m], [d]),
+                                   st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=9))
+    learning_rate = draw(st.floats(1e-3, 10.0) | st.floats(10.0, 1e300))
+    return [2, hidden, 1], weights, data, draw(st.integers(1, 5)), learning_rate, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(run=_training_runs())
+def test_train_of_a_2h1_net_equals_the_public_functions_bitwise(run):
+    # `train` runs a [2, H, 1] net through its own epoch loop; the reference runs forward, error and backprop.
+    sizes, weights, data, epochs, learning_rate, seed = run
+    expected, expected_trace = _reference_train(Network(sizes, weights), data, epochs, learning_rate, seed)
+    got, trace = train(Network(sizes, weights), data, epochs, learning_rate, seed)
+    assert [t.hex() for t in trace] == [t.hex() for t in expected_trace]
+    assert _bits(got) == _bits(expected)
 
 
 @pytest.fixture(scope="module")

@@ -516,9 +516,10 @@ class TestSeededDraws:
             visited.append(int(inputs[0]))
             return step(layers, inputs, desired, learning_rate)
 
+        # A [2, H, 1] net trains through its own epoch loop, so the spy runs on a shape `_step` serves.
         monkeypatch.setattr(neural, "_step", recording_step)
-        data = [TrainingExample([float(k), 0.0], [0.0]) for k in range(10)]
-        train(init_weights([2, 2, 1], 0), data, epochs=1, learning_rate=0.5, seed=seed)
+        data = [TrainingExample([float(k)], [0.0]) for k in range(10)]
+        train(init_weights([1, 1], 0), data, epochs=1, learning_rate=0.5, seed=seed)
         assert visited == order
 
         drawn = []
