@@ -22,6 +22,11 @@ stored: an index derives a posting list from the bodies on each lookup, and
 the full postings once lookups have tokenized as many bodies as the index
 holds. A file with any other first line, an older ``PSWM-INDEX v1`` or
 ``v2`` index included, is rejected: ``pswm ingest`` writes a v3 index.
+
+`parse_corpus_file` and `load_index` read a file one line at a time and
+parse each line before they read the next, so neither holds the file's
+text or its list of lines; `save_index` encodes each record as it writes
+it.
 """
 
 from __future__ import annotations
@@ -30,9 +35,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import DataError
-from .fileio import read_lines, write_lines_atomic
+from .fileio import open_lines, write_lines_atomic
 from .query import tokenize
 
 INDEX_MAGIC = "PSWM-INDEX v3"
@@ -217,14 +223,15 @@ def parse_corpus_file(path) -> list[Document]:
     """
     docs: list[Document] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(read_lines(path, "corpus"), start=1):
-        if not line.strip():
-            continue
-        doc = _parse_record(line, line_no)
-        if doc.id in seen:
-            raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
-        seen.add(doc.id)
-        docs.append(doc)
+    with open_lines(path, "corpus") as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            doc = _parse_record(line, line_no)
+            if doc.id in seen:
+                raise DataError(f"line {line_no}: duplicate document id {doc.id!r}")
+            seen.add(doc.id)
+            docs.append(doc)
     return docs
 
 
@@ -250,46 +257,57 @@ def save_index(index: InvertedIndex, path) -> None:
 
     Raises ValueError before any file is opened, naming the first `docs` key in sorted order that is not its
     document's id (records hold ``doc.id`` in key order) or holds a TAB, CR or LF (`load_index` rejects it).
+    Each record is then encoded as it is written, so a record JSON cannot encode raises with the previous
+    file untouched.
     """
-    lines = [INDEX_MAGIC, json.dumps({"doc_count": index.doc_count})]
-    for doc_id in sorted(index.docs):
-        doc = index.docs[doc_id]
-        if doc.id != doc_id:
-            raise ValueError(f"docs key {doc_id!r} differs from its document's id {doc.id!r}")
+    docs = index.docs
+    ids = sorted(docs)
+    for doc_id in ids:
+        if docs[doc_id].id != doc_id:
+            raise ValueError(f"docs key {doc_id!r} differs from its document's id {docs[doc_id].id!r}")
         if _ID_BREAK.search(doc_id):
             raise ValueError(f"document id {doc_id!r} holds a TAB, CR or LF")
-        lines.append(_RECORD_ENCODER.encode(
-            [doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts]
-        ))
-    write_lines_atomic(path, lines)
+    records = (
+        _RECORD_ENCODER.encode([doc.id, doc.url, doc.title, doc.body, sorted(doc.meta.keywords), doc.meta.concepts])
+        for doc in map(docs.__getitem__, ids)
+    )
+    write_lines_atomic(path, chain([INDEX_MAGIC, json.dumps({"doc_count": len(ids)})], records))
 
 
 def load_index(path) -> InvertedIndex:
-    """Read an index written by `save_index`; its postings are derived when looked up.
+    """Read an index written by `save_index`, parsing each record as it is read; postings are derived when looked up.
 
     Raises DataError on a bad magic line, a bad doc_count, a number of lines
     after the header other than doc_count, ids not strictly ascending, or a
-    malformed record; never returns a partially loaded index.
+    malformed record; never returns a partially loaded index. A wrong count
+    outranks a bad record: after one, the rest of the file is counted.
     """
-    lines = read_lines(path, "index")
-    if not lines or lines[0] != INDEX_MAGIC:
-        raise DataError(f"not a {INDEX_MAGIC} file: {path}; pswm ingest writes one from a corpus")
-    if len(lines) < 2:
-        raise DataError("truncated index file: expected doc count header at line 2")
+    with open_lines(path, "index") as lines:
+        if next(lines, None) != INDEX_MAGIC:
+            raise DataError(f"not a {INDEX_MAGIC} file: {path}; pswm ingest writes one from a corpus")
+        header_line = next(lines, None)
+        if header_line is None:
+            raise DataError("truncated index file: expected doc count header at line 2")
+        header = _json_line(header_line, 2)
+        doc_count = header.get("doc_count") if isinstance(header, dict) else None
+        if type(doc_count) is not int or doc_count < 0:
+            raise DataError(f"line 2: invalid doc_count {doc_count!r}")
 
-    header = _json_line(lines[1], 2)
-    doc_count = header.get("doc_count") if isinstance(header, dict) else None
-    if type(doc_count) is not int or doc_count < 0:
-        raise DataError(f"line 2: invalid doc_count {doc_count!r}")
-    if len(lines) - 2 != doc_count:
-        raise DataError(f"index file has {len(lines) - 2} document records, expected {doc_count}")
-
-    docs: dict[str, Document] = {}
-    last_id = None
-    for line_no, line in enumerate(lines[2:], start=3):
-        doc = _parse_index_record(line, line_no)
-        if last_id is not None and doc.id <= last_id:
-            raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
-        docs[doc.id] = doc
-        last_id = doc.id
+        docs: dict[str, Document] = {}
+        last_id = None
+        line_no = 2  # the last line read
+        for line_no, line in enumerate(lines, start=3):
+            try:
+                doc = _parse_index_record(line, line_no)
+                if last_id is not None and doc.id <= last_id:
+                    raise DataError(f"line {line_no}: document id {doc.id!r} is not above {last_id!r}; ids must ascend")
+            except DataError:
+                line_no += sum(1 for _ in lines)
+                if line_no - 2 == doc_count:
+                    raise
+                break
+            docs[doc.id] = doc
+            last_id = doc.id
+    if line_no - 2 != doc_count:
+        raise DataError(f"index file has {line_no - 2} document records, expected {doc_count}")
     return InvertedIndex(docs=docs)

@@ -388,7 +388,7 @@ def load_model(path) -> Network:
     one finite number per target unit; any other file raises DataError
     naming its line (line 2 for the sizes).
     """
-    lines = read_lines(path, "model")
+    lines = list(read_lines(path, "model"))
     if not lines or lines[0] != MODEL_MAGIC:
         raise DataError(f"not a {MODEL_MAGIC} file: {path}")
     if len(lines) < 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import InvertedIndex
 from .errors import DataError
-from .fileio import read_lines
+from .fileio import open_lines
 from .neural import Network, TrainingExample, error, forward
 from .query import build_syntax_tree, tokenize
 from .scoring import semantic_score, syntactic_score
@@ -34,20 +34,21 @@ class Judgment:
 def parse_judgments_file(path) -> list[Judgment]:
     """Read a judgments file; DataError naming a bad line (fields, label, tokenless query), or if it holds none."""
     judgments: list[Judgment] = []
-    for line_no, line in enumerate(read_lines(path, "judgments"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"line {line_no}: expected query<TAB>doc_id<TAB>label, got {len(parts)} fields")
-        query, doc_id, label_text = parts
-        if label_text not in ("0", "1"):
-            raise DataError(f"line {line_no}: label must be 0 or 1, got {label_text!r}")
-        if not doc_id:
-            raise DataError(f"line {line_no}: empty doc_id")
-        if not tokenize(query):
-            raise DataError(f"line {line_no}: query has no searchable tokens: {query!r}")
-        judgments.append(Judgment(query=query, doc_id=doc_id, label=int(label_text)))
+    with open_lines(path, "judgments") as lines:
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"line {line_no}: expected query<TAB>doc_id<TAB>label, got {len(parts)} fields")
+            query, doc_id, label_text = parts
+            if label_text not in ("0", "1"):
+                raise DataError(f"line {line_no}: label must be 0 or 1, got {label_text!r}")
+            if not doc_id:
+                raise DataError(f"line {line_no}: empty doc_id")
+            if not tokenize(query):
+                raise DataError(f"line {line_no}: query has no searchable tokens: {query!r}")
+            judgments.append(Judgment(query=query, doc_id=doc_id, label=int(label_text)))
     if not judgments:
         raise DataError(f"judgments file {path} contains no judgments")
     return judgments

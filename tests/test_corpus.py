@@ -324,15 +324,29 @@ class TestIndexPersistence:
         with pytest.raises(DataError, match="line 4.*'a'"):
             load_index(path)
 
-    @pytest.mark.parametrize("doc_count, after, found", [
-        (3, [], 2),  # fewer records than announced: a cut file
-        (1, [], 2),  # more records than announced
-        (2, ["", ""], 4),  # two blank lines after the records
-    ], ids=["fewer", "more", "blank-lines-after"])
-    def test_lines_after_the_header_must_number_doc_count(self, tmp_path, doc_count, after, found):
+    # Records "a" and "b" are the saved ones; any other string is written as it is. A wrong count outranks a
+    # malformed record or a descending id anywhere in the file.
+    @pytest.mark.parametrize("doc_count, records, found", [
+        (3, ["a", "b"], 2),  # fewer records than announced: a cut file
+        (1, ["a", "b"], 2),  # more records than announced
+        (2, ["a", "b", "", ""], 4),  # two blank lines after the records
+        (3, ["a", "null"], 2),
+        (1, ["{", "a", "b"], 3),
+        (3, ["b", "a"], 2),
+        (1, ["b", "a", "b"], 3),
+    ], ids=["fewer", "more", "blank-lines-after", "fewer-malformed", "more-malformed-first", "fewer-descending",
+            "more-descending"])
+    def test_lines_after_the_header_must_number_doc_count(self, tmp_path, doc_count, records, found):
         path, lines = self.saved_lines(tmp_path, "a", "b")
-        self.write_lines(path, [lines[0], json.dumps({"doc_count": doc_count}), *lines[2:], *after])
+        saved = dict(zip("ab", lines[2:]))
+        self.write_lines(path, [lines[0], json.dumps({"doc_count": doc_count}), *(saved.get(r, r) for r in records)])
         with pytest.raises(DataError, match=f"^index file has {found} document records, expected {doc_count}$"):
+            load_index(path)
+
+    def test_bad_record_before_the_last_names_its_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path, "a", "b", "c")
+        self.write_lines(path, [*lines[:2], "{", *lines[3:]])
+        with pytest.raises(DataError, match="^line 3: invalid JSON"):
             load_index(path)
 
     def test_malformed_record_names_line(self, tmp_path):
