@@ -81,12 +81,12 @@ def cmd_train(args) -> int:
     index = corpus.load_index(args.index)
     judgments = training.parse_judgments_file(args.judgments)
     examples = training.judgments_to_examples(judgments, index)
-    net, trace = neural.train(net, examples, args.epochs, args.lr, args.seed)
+    initial = training.evaluate(net, judgments, index)["mean_error"]  # both numbers as `eval` reports them
+    net, _ = neural.train(net, examples, args.epochs, args.lr, args.seed)
     neural.save_model(net, args.model)
     print(f"trained on {len(examples)} examples for {args.epochs} epochs")
-    if trace:
-        print(f"initial mean error: {trace[0]:.6f}")
-    print(f"final mean error: {training.evaluate(net, judgments, index)['mean_error']:.6f}")  # as `eval` reports it
+    print(f"initial mean error: {initial:.6f}")
+    print(f"final mean error: {training.evaluate(net, judgments, index)['mean_error']:.6f}")
     print(f"saved model -> {args.model}")
     return EXIT_OK
 

@@ -21,17 +21,13 @@ extra unit with constant activity 1.0, so each unit has one more incoming
 weight (the bias weight, stored last) than the layer below has units.
 
 Weights are plain Python floats in one layout: ``net.weights[k][j]`` is the
-list of incoming weights of unit j in layer k + 1, bias last. The
-arithmetic runs on them in one kernel (`_forward`, `_backward`, `_step`),
-which `forward`, `backprop` and `error` share, and `gradient_check` through
-them; training updates ``net.weights`` in place with no copy to convert or
-write back, and it gives the same bits as the public functions called in
-turn. `train` runs `_step` for every shape but one: a [2, H, 1] net, the
-ranking network, runs its epochs through `_train_epoch_2h1`, which evaluates
-`_step`'s expressions in `_step`'s order with no per-layer lists, zips or
-comprehensions between them (2.5 against 8.5 µs per step on a 2-4-1 net,
-on a 2-vCPU x86-64 host, Python 3.11). `_step` is the reference it is
-tested against bit for bit.
+list of incoming weights of unit j in layer k + 1, bias last. `forward`,
+`error` and `backprop` are the generic passes: they take any shape, and
+`gradient_check` verifies them against finite differences on random ones.
+`train` fits only the ranking network, [2, H, 1], through one epoch loop,
+`_train_epoch_2h1`. The loop updates ``net.weights`` in place and evaluates
+the generic passes' expressions in their order, so it gives the same bits
+as `forward`, `error` and `backprop` followed by a descent step.
 `Network`, `train`, `backprop` and `load_model` check each vector through
 `_floats`. `forward` and `error` check only lengths: search and eval call
 them once per candidate and judgment, where `_floats` measurably slows them.
@@ -170,70 +166,14 @@ class TrainingExample:
     desired: list[float]
 
 
-def _forward(layers, inputs: list[float]) -> list[list[float]]:
-    """Forward pass; returns the activities of every layer, `inputs` first."""
-    acts = [inputs]
-    for units in layers:
-        src = acts[-1]
-        out = []
-        for w in units:
-            total = 0.0
-            for a, wi in zip(src, w):  # stops at the bias, the last weight
-                total += a * wi
-            out.append(sigmoid(total + w[-1]))
-        acts.append(out)
-    return acts
-
-
-def _half_square(diff: list[float]) -> float:
-    """The error of an output whose difference from the desired vector is `diff`."""
-    total = 0.0
-    for d in diff:
-        total += d * d
-    return 0.5 * total
-
-
-def _backward(layers, acts, ea: list[float]) -> list[list[float]]:
-    """Backward pass over the forward pass `acts`, `ea` being output minus desired.
-
-    Returns the ei values of every layer but the input layer: entry k
-    belongs to the target units of weight layer k, so ``acts[k][i] *
-    ei[k][j]`` is the ew of that layer's weight from source i to target j,
-    and ``ei[k][j]`` itself the ew of target j's bias weight.
-    """
-    eis = [ea] * len(layers)
-    for k in range(len(layers) - 1, -1, -1):
-        ei = [e * y * (1.0 - y) for e, y in zip(ea, acts[k + 1])]
-        eis[k] = ei
-        if k:  # nothing reads the input layer's error/activity values
-            ea = [0.0] * len(acts[k])
-            for w, e in zip(layers[k], ei):  # adds each source's terms in target-unit order
-                ea = [total + wi * e for total, wi in zip(ea, w)]
-    return eis
-
-
-def _step(layers, inputs: list[float], desired: list[float], learning_rate: float) -> float:
-    """One unchecked online step on `layers` in place; returns the example's pre-update error.
-
-    Every derivative comes from the pre-update weights, as in `backprop`
-    followed by one descent step.
-    """
-    acts = _forward(layers, inputs)
-    ea = [y - d for y, d in zip(acts[-1], desired)]
-    for units, src, ei in zip(layers, acts, _backward(layers, acts, ea)):
-        for w, e in zip(units, ei):
-            for i, a in enumerate(src):
-                w[i] -= learning_rate * (a * e)
-            w[-1] -= learning_rate * e
-    return _half_square(ea)
-
-
 def _train_epoch_2h1(hidden, output, order, features, desired, learning_rate: float) -> float:
-    """`_step` on each example of `order` in turn for a [2, H, 1] net; returns the summed pre-update error.
+    """One online descent step on each example of `order` in turn; returns the summed pre-update error.
 
-    `hidden` is ``weights[0]`` and `output` is ``weights[1][0]``, both changed
-    in place. Each expression is `_step`'s, in its order, so the bits are too:
-    hidden unit j's ei is taken from output weight j before that weight changes.
+    `hidden` is ``weights[0]`` and `output` is ``weights[1][0]`` of a [2, H, 1]
+    net, both changed in place. Each expression is the one `forward`, `error`
+    and `backprop` evaluate, in their order, so the bits are too: every
+    derivative comes from the pre-update weights, and hidden unit j's ei is
+    taken from output weight j before that weight changes.
     """
     lr = learning_rate
     total = 0.0
@@ -271,14 +211,28 @@ def forward(net: Network, features) -> list[list[float]]:
     x = [float(v) for v in features]  # not `_floats`: ranking calls this once per candidate
     if len(x) != net.layer_sizes[0]:
         raise ValueError(f"input length ({len(x)},) does not match input layer size {net.layer_sizes[0]}")
-    return _forward(net.weights, x)
+    acts = [x]
+    for units in net.weights:
+        src = acts[-1]
+        out = []
+        for w in units:
+            total = 0.0
+            for a, wi in zip(src, w):  # stops at the bias, the last weight
+                total += a * wi
+            out.append(sigmoid(total + w[-1]))
+        acts.append(out)
+    return acts
 
 
 def error(output, desired) -> float:
     """Half the summed squared difference between output and desired vectors."""
     if len(output) != len(desired):  # not `_floats`: eval calls this once per judgment
         raise ValueError(f"output shape ({len(output)},) does not match desired shape ({len(desired)},)")
-    return _half_square([float(y) - float(d) for y, d in zip(output, desired)])
+    total = 0.0
+    for y, d in zip(output, desired):
+        diff = float(y) - float(d)
+        total += diff * diff
+    return 0.5 * total
 
 
 def backprop(net: Network, activations, desired) -> list[list[list[float]]]:
@@ -295,13 +249,22 @@ def backprop(net: Network, activations, desired) -> list[list[list[float]]]:
     acts = [_floats(a, n, f"activation vector {k}: activities")
             for k, (a, n) in enumerate(zip(activations, net.layer_sizes))]
     d = _floats(desired, net.layer_sizes[-1], "desired values")
-    eis = _backward(net.weights, acts, [y - t for y, t in zip(acts[-1], d)])
+    layers = net.weights
+    ea = [y - t for y, t in zip(acts[-1], d)]
+    eis = [ea] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        ei = [e * y * (1.0 - y) for e, y in zip(ea, acts[k + 1])]
+        eis[k] = ei
+        if k:  # nothing reads the input layer's error/activity values
+            ea = [0.0] * len(acts[k])
+            for w, e in zip(layers[k], ei):  # adds each source's terms in target-unit order
+                ea = [total + wi * e for total, wi in zip(ea, w)]
     return [[[a * e for a in src] + [e] for e in ei] for src, ei in zip(acts, eis)]
 
 
 def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate: float,
           seed: int) -> tuple[Network, list[float]]:
-    """Online training: one descent step per example, reshuffled each epoch.
+    """Online training of a [2, H, 1] net: one descent step per example, reshuffled each epoch.
 
     Each epoch shuffles one visiting order in place, Fisher-Yates from the
     top with ``j = int(random() * (i + 1))``, drawn from a generator seeded
@@ -309,9 +272,11 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     initial weights). ValueError if `seed` is negative or not an integer.
     The weights of `net` change in place, and `net` itself is returned
     with one mean-error entry per epoch, the error being measured on each
-    example's pre-update forward pass. A [2, H, 1] net trains through
-    `_train_epoch_2h1`, about 3.4 times as fast per step as `_step`, which
-    trains every other shape; both give the same bits.
+    example's pre-update forward pass. Every epoch runs through one loop,
+    `_train_epoch_2h1`, which gives the bits of `forward`, `error` and
+    `backprop` followed by a descent step.
+    ValueError, before any weight changes, names the sizes of a net that is
+    not [2, H, 1], the ranking network and the only shape `train` fits.
     Every example is checked before any weight changes: ValueError names
     the first one whose lengths do not fit the network, whose values are
     not finite, or whose desired values lie outside [0, 1], the range of
@@ -319,33 +284,29 @@ def train(net: Network, data: list[TrainingExample], epochs: int, learning_rate:
     epoch. Sigmoid overflow is not reported: it saturates to the correct
     limit.
     """
+    sizes = net.layer_sizes
+    if len(sizes) != 3 or sizes[0] != 2 or sizes[2] != 1:
+        raise ValueError(f"train fits only a [2, H, 1] network, got layer sizes {sizes}")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     if not data and epochs > 0:
         raise ValueError("cannot train on an empty example list")
     if not 0.0 < learning_rate < math.inf:
         raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
-    n_in, n_out = net.layer_sizes[0], net.layer_sizes[-1]
     features, desired = [], []
     for i, example in enumerate(data):
-        features.append(_floats(example.features, n_in, f"example {i}: features"))
-        desired.append(_floats(example.desired, n_out, f"example {i}: desired"))
+        features.append(_floats(example.features, 2, f"example {i}: features"))
+        desired.append(_floats(example.desired, 1, f"example {i}: desired"))
         if not all(0.0 <= d <= 1.0 for d in desired[-1]):
             raise ValueError(f"example {i}: desired values must lie in [0, 1], got {desired[-1]}")
     draw = _seeded(seed).random
     order = list(range(len(data)))
-    two_h_one = len(net.layer_sizes) == 3 and n_in == 2 and n_out == 1
     trace: list[float] = []
     for epoch in range(1, epochs + 1):
         for i in range(len(order) - 1, 0, -1):
             j = int(draw() * (i + 1))
             order[i], order[j] = order[j], order[i]
-        if two_h_one:
-            total = _train_epoch_2h1(net.weights[0], net.weights[1][0], order, features, desired, learning_rate)
-        else:
-            total = 0.0
-            for i in order:
-                total += _step(net.weights, features[i], desired[i], learning_rate)
+        total = _train_epoch_2h1(net.weights[0], net.weights[1][0], order, features, desired, learning_rate)
         if not all(math.isfinite(x) for units in net.weights for w in units for x in w):
             raise ValueError(f"training diverged: non-finite weights after epoch {epoch}")
         trace.append(total / len(data))

@@ -230,7 +230,8 @@ class TestTrain:
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK
         assert "for 0 epochs" in out
-        assert "final mean error:" in out
+        initial = out.split("initial mean error: ")[1].splitlines()[0]
+        assert out.split("final mean error: ")[1].splitlines()[0] == initial
         assert model_path.exists()
 
     def test_empty_judgments_is_data_error(self, tmp_path, ingested, capsys):
@@ -309,15 +310,20 @@ class TestTrain:
 
     @pytest.mark.parametrize("epochs", ["0", "1", "5"])
     def test_final_mean_error_is_the_saved_models_eval_mean_error(self, tmp_path, ingested, capsys, epochs):
-        model_path = tmp_path / "m"
-        code = cli.main(["train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
-                         "--model", str(model_path), "--epochs", epochs])
-        assert code == cli.EXIT_OK
-        final = capsys.readouterr().out.split("final mean error: ")[1].splitlines()[0]
-        code = cli.main(["eval", "--index", str(ingested), "--model", str(model_path),
-                         "--judgments", str(JUDGMENTS_PATH)])
-        assert code == cli.EXIT_OK
-        assert capsys.readouterr().out.split("mean error: ")[1].splitlines()[0] == final
+        # And "initial mean error" is eval's mean error of the initial weights, which --epochs 0 saves.
+        means = {}
+        for run in ("0", epochs):
+            model_path = tmp_path / f"m{run}"
+            code = cli.main(["train", "--index", str(ingested), "--judgments", str(JUDGMENTS_PATH),
+                             "--model", str(model_path), "--epochs", run])
+            assert code == cli.EXIT_OK
+            out = capsys.readouterr().out
+            code = cli.main(["eval", "--index", str(ingested), "--model", str(model_path),
+                             "--judgments", str(JUDGMENTS_PATH)])
+            assert code == cli.EXIT_OK
+            means[run] = capsys.readouterr().out.split("mean error: ")[1].splitlines()[0]
+        assert out.split("initial mean error: ")[1].splitlines()[0] == means["0"]
+        assert out.split("final mean error: ")[1].splitlines()[0] == means[epochs]
 
     def test_error_drops_during_training(self, tmp_path, ingested, capsys):
         code = cli.main([

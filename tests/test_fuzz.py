@@ -445,7 +445,7 @@ def _training_runs(draw):
 @PROPERTY
 @given(run=_training_runs())
 def test_train_of_a_2h1_net_equals_the_public_functions_bitwise(run):
-    # `train` runs a [2, H, 1] net through its own epoch loop; the reference runs forward, error and backprop.
+    # `train` runs every epoch through its one loop; the reference runs forward, error and backprop.
     sizes, weights, data, epochs, learning_rate, seed = run
     expected, expected_trace = _reference_train(Network(sizes, weights), data, epochs, learning_rate, seed)
     got, trace = train(Network(sizes, weights), data, epochs, learning_rate, seed)
